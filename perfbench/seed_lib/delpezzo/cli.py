@@ -1,0 +1,347 @@
+"""Deterministic command-line reports over the lattice toolkit.
+
+Every subcommand prints one report (JSON or a plain table) on stdout.
+Identical invocations produce byte-identical output: items are sorted,
+and wall-clock timing only appears when --timing is passed.
+
+Exit codes: 0 success, 2 domain/configuration errors (including vector
+parse errors), 3 resource caps.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from typing import Sequence
+
+from . import __version__
+from .degeneration import incident_lines, make_configuration, orbit_decomposition
+from .errors import DomainError, OrbitCapError
+from .geometry import (
+    coplanar_triples,
+    disjoint_line_sets,
+    double_sixes,
+    enumerate_classes,
+    lines,
+)
+from .lattice import degree, make_marked_lattice, parse_vector
+from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
+from .roots import enumerate_roots, positive_roots
+from .weights import (
+    adjoint_weight_system,
+    central_character,
+    dual_partner,
+    fundamental_weight_lift,
+    is_minuscule,
+    weight_evaluations,
+)
+from .weyl import DEFAULT_ORBIT_CAP, format_word, orbit
+
+ORBIT_CAP_ENV = "DELPEZZO_ORBIT_CAP"
+
+
+def _orbit_cap() -> int:
+    raw = os.environ.get(ORBIT_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ORBIT_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{ORBIT_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise DomainError(f"{ORBIT_CAP_ENV} must be positive, got {cap}")
+    return cap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="delpezzo", description="exact del Pezzo lattice reports"
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"delpezzo {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def cmd(name: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--r", type=int, required=True, help="rank of the marking, 3..8")
+        p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument("--timing", action="store_true", help="include timing_ms")
+        return p
+
+    p = cmd("roots", help="list roots")
+    p.add_argument("--positive", action="store_true")
+
+    cmd("lines", help="list line classes")
+
+    p = cmd("classes", help="list curve classes of given type")
+    p.add_argument("--self-int", type=int, required=True, dest="self_int")
+    p.add_argument("--degree", type=int, required=True)
+
+    cmd("triples", help="coplanar line triples (r=6)")
+
+    p = cmd("sixes", help="sixes of disjoint lines (r=6)")
+    p.add_argument("--double", action="store_true", help="pair them into double sixes")
+
+    p = cmd("orbit", help="Weyl orbit of a vector")
+    p.add_argument("--weight", required=True, help="vector like 3h-e1-2e8")
+
+    p = cmd("weights", help="fundamental weight reports")
+    p.add_argument("--fundamental", type=int, help="fundamental index 1..r")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--minuscule", action="store_true")
+    mode.add_argument("--dual", action="store_true")
+    mode.add_argument("--adjoint", action="store_true")
+
+    p = cmd("degenerate", help="orbit decomposition for an RDP configuration")
+    p.add_argument(
+        "--curves", required=True, help="comma-separated roots, e.g. e1-e2,e2-e3"
+    )
+
+    p = cmd("period", help="torsion period point reports")
+    p.add_argument(
+        "--assign",
+        action="append",
+        default=[],
+        metavar="SYM=A/B,C/D",
+        help="basis image, e.g. h=1/3,0; unassigned symbols are 0",
+    )
+    p.add_argument("--canonical", action="store_true")
+    return parser
+
+
+# --- handlers ----------------------------------------------------------------
+
+
+def _handle_roots(args, lattice):
+    found = positive_roots(lattice) if args.positive else enumerate_roots(lattice)
+    return (
+        {"r": args.r, "positive": bool(args.positive)},
+        {},
+        [str(root.vector) for root in found],
+        {},
+    )
+
+
+def _handle_lines(args, lattice):
+    return {"r": args.r}, {}, [str(c.vector) for c in lines(lattice)], {}
+
+
+def _handle_classes(args, lattice):
+    found = enumerate_classes(lattice, args.self_int, args.degree)
+    return (
+        {"r": args.r, "self_int": args.self_int, "degree": args.degree},
+        {},
+        [str(c.vector) for c in found],
+        {},
+    )
+
+
+def _handle_triples(args, lattice):
+    items = [sorted(str(v) for v in t) for t in coplanar_triples(lattice)]
+    return {"r": args.r}, {}, items, {}
+
+
+def _handle_sixes(args, lattice):
+    if args.double:
+        pairs = double_sixes(lattice)
+        items = [
+            {"six": sorted(str(v) for v in a), "partner": sorted(str(v) for v in b)}
+            for a, b in pairs
+        ]
+        return {"r": args.r, "double": True}, {"sixes": 2 * len(items)}, items, {}
+    sets = disjoint_line_sets(lattice, 6)
+    items = [sorted(str(v) for v in s) for s in sets]
+    return {"r": args.r, "double": False}, {}, items, {}
+
+
+def _handle_orbit(args, lattice):
+    v = parse_vector(args.weight, lattice.r)
+    members = orbit(v, lattice, cap=_orbit_cap())
+    return {"r": args.r, "weight": args.weight}, {}, [str(u) for u in members], {}
+
+
+def _weight_item(args, lattice, i):
+    lift = fundamental_weight_lift(lattice, i)
+    return {
+        "index": i,
+        "lift": str(lift.vector),
+        "evaluations": list(weight_evaluations(lift, lattice)),
+        "degree": degree(lift.vector, lattice),
+        "central_character": central_character(lift, lattice),
+    }
+
+
+def _handle_weights(args, lattice):
+    if args.adjoint:
+        system = adjoint_weight_system(lattice)
+        items = [
+            {"weight": str(v), "multiplicity": m} for v, m in system.entries
+        ]
+        counts = {"total_multiplicity": sum(e["multiplicity"] for e in items)}
+        extra = {"dimension": system.dimension, "highest": str(system.highest)}
+        return {"r": args.r, "mode": "adjoint"}, counts, items, extra
+    if args.fundamental is None:
+        raise DomainError("--fundamental is required unless --adjoint is given")
+    i = args.fundamental
+    if args.dual:
+        witness = dual_partner(i, lattice)
+        item = {
+            "index": witness.index,
+            "partner": witness.partner,
+            "word": format_word(witness.word),
+            "kappa_multiple": witness.multiple,
+        }
+        return {"r": args.r, "fundamental": i, "mode": "dual"}, {}, [item], {}
+    item = _weight_item(args, lattice, i)
+    if args.minuscule:
+        lift = fundamental_weight_lift(lattice, i)
+        item["minuscule"] = is_minuscule(lift, lattice)
+        if item["minuscule"]:
+            item["orbit_size"] = len(orbit(lift.vector, lattice, cap=_orbit_cap()))
+        mode = "minuscule"
+    else:
+        mode = "lift"
+    return {"r": args.r, "fundamental": i, "mode": mode}, {}, [item], {}
+
+
+def _handle_degenerate(args, lattice):
+    curve_texts = args.curves.split(",")
+    curves = [parse_vector(t, lattice.r) for t in curve_texts]
+    config = make_configuration(curves, lattice)
+    weight_set = [c.vector for c in lines(lattice)]
+    parts = orbit_decomposition(config, weight_set, lattice)
+    items = [
+        {
+            "representative": str(p.representative),
+            "size": p.size,
+            "label": p.label,
+            "members": [str(m) for m in p.members],
+        }
+        for p in parts
+    ]
+    counts: dict[str, int] = {"classes": sum(p["size"] for p in items)}
+    for p in items:
+        key = f"size_{p['size']}"
+        counts[key] = counts.get(key, 0) + 1
+    counts["incident_lines"] = len(incident_lines(config, lattice))
+    extra = {"gauge_type": str(config.dynkin)}
+    return {"r": args.r, "curves": args.curves}, counts, items, extra
+
+
+def _parse_assignments(args, r) -> list[TorsionPoint]:
+    points = [TorsionPoint.zero() for _ in range(r + 1)]
+    for raw in args.assign:
+        sym, eq, value = raw.partition("=")
+        if not eq:
+            raise DomainError(f"assignment {raw!r} must look like h=1/3,0")
+        if sym == "h":
+            idx = 0
+        elif sym.startswith("e") and sym[1:].isdigit() and 1 <= int(sym[1:]) <= r:
+            idx = int(sym[1:])
+        else:
+            raise DomainError(f"unknown basis symbol {sym!r} for r = {r}")
+        points[idx] = TorsionPoint.parse(value)
+    return points
+
+
+def _handle_period(args, lattice):
+    points = _parse_assignments(args, lattice.r)
+    period = make_period(points)
+    symbols = ["h"] + [f"e{i}" for i in range(1, lattice.r + 1)]
+    items = [
+        {"basis": sym, "value": str(p)} for sym, p in zip(symbols, period.images)
+    ]
+    extra = {
+        "coroot_values": [str(p) for p in restrict_to_coroots(period, lattice)]
+    }
+    if args.canonical:
+        canonical = weyl_canonicalize(period, lattice, cap=_orbit_cap())
+        extra["canonical"] = [str(p) for p in canonical]
+    return {"r": args.r, "canonical": bool(args.canonical)}, {}, items, extra
+
+
+_HANDLERS = {
+    "roots": _handle_roots,
+    "lines": _handle_lines,
+    "classes": _handle_classes,
+    "triples": _handle_triples,
+    "sixes": _handle_sixes,
+    "orbit": _handle_orbit,
+    "weights": _handle_weights,
+    "degenerate": _handle_degenerate,
+    "period": _handle_period,
+}
+
+
+# --- report emission ----------------------------------------------------------
+
+
+def _render_value(value) -> str:
+    if isinstance(value, list):
+        return " | ".join(_render_value(v) for v in value)
+    if isinstance(value, dict):
+        return "  ".join(f"{k}={_render_value(v)}" for k, v in value.items())
+    return str(value)
+
+
+def _render_table(report: dict) -> str:
+    out = []
+    query = report["query"]
+    head = query["command"] + "".join(
+        f" {k}={v}" for k, v in query.items() if k != "command"
+    )
+    out.append(head)
+    for key, value in report.items():
+        if key in ("tool", "query", "counts", "items"):
+            continue
+        out.append(f"{key}: {_render_value(value)}")
+    out.append(
+        "counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items())
+    )
+    for item in report["items"]:
+        out.append(_render_value(item))
+    return "\n".join(out) + "\n"
+
+
+def run(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse handles --help/--version/usage errors
+        return int(exc.code or 0)
+    started = time.perf_counter()
+    try:
+        lattice = make_marked_lattice(args.r)
+        query, counts, items, extra = _HANDLERS[args.command](args, lattice)
+    except OrbitCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = {
+        "tool": {"name": "delpezzo", "version": __version__},
+        "query": {"command": args.command, **query},
+        "counts": {"items": len(items), **counts},
+        "items": items,
+    }
+    report.update(extra)
+    if args.timing:
+        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    if args.format == "json":
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    else:
+        sys.stdout.write(_render_table(report))
+    return 0
+
+
+def main() -> None:
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

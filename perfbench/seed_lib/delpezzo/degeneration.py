@@ -1,0 +1,106 @@
+"""Rational double point configurations and their action on curve classes.
+
+A configuration is an independent set of roots with pairwise products in
+{0, 1}; its components form an ADE diagram (the gauge type).  The
+reflections in the configuration curves break orbits of curve classes
+into the pieces that collide in the degeneration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from .errors import ConfigurationError
+from .geometry import CurveClass, lines
+from .lattice import LatticeVector, MarkedLattice, inner
+from .roots import DynkinType, Root, as_root_vector, dynkin_type
+
+
+@dataclass(frozen=True)
+class RdpConfiguration:
+    curves: tuple[Root, ...]
+    dynkin: DynkinType
+
+
+def make_configuration(
+    curves: Iterable[Root | LatticeVector], lattice: MarkedLattice
+) -> RdpConfiguration:
+    """Validate a curve list into a configuration; errors name the offender."""
+    vecs = []
+    for x in curves:
+        v = x.vector if isinstance(x, Root) else x
+        if v.rank != lattice.r:
+            raise ConfigurationError(f"{v} has rank {v.rank}, lattice has r = {lattice.r}")
+        vecs.append(v)
+    kind = dynkin_type(vecs)  # validates roots, pairings, independence, shape
+    return RdpConfiguration(tuple(Root(v) for v in sorted(vecs)), kind)
+
+
+@dataclass(frozen=True)
+class SubOrbit:
+    """One orbit of the sub-Weyl group generated by the configuration."""
+
+    representative: LatticeVector
+    members: tuple[LatticeVector, ...]
+    label: str
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def orbit_decomposition(
+    config: RdpConfiguration,
+    weights: Iterable[LatticeVector],
+    lattice: MarkedLattice,
+) -> list[SubOrbit]:
+    """Partition the closure of `weights` under the configuration reflections.
+
+    Orbits are listed by lexicographically least representative; a size-2
+    orbit whose members differ by a configuration curve is labelled
+    "extension pair" (the two classes that collide in the degeneration).
+    """
+    gens = [c.vector for c in config.curves]
+    gen_set = {g for v in gens for g in (v, -v)}
+    seen: set[LatticeVector] = set()
+    parts = []
+    for v in sorted(set(weights)):
+        if v in seen:
+            continue
+        orb = {v}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for g in gens:
+                    w = u + inner(u, g) * g
+                    if w not in orb:
+                        orb.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        seen |= orb
+        members = tuple(sorted(orb))
+        if len(members) == 1:
+            label = "singleton"
+        elif len(members) == 2 and members[1] - members[0] in gen_set:
+            label = "extension pair"
+        else:
+            label = "orbit"
+        parts.append(SubOrbit(members[0], members, label))
+    return sorted(parts, key=lambda p: p.representative)
+
+
+def incident_lines(
+    config: RdpConfiguration, lattice: MarkedLattice
+) -> list[CurveClass]:
+    """Line classes moved by the configuration, i.e. meeting some C_j.
+
+    These are exactly the classes of lines through the singular points;
+    the complement is the fixed-point set of the sub-Weyl action.
+    """
+    return [
+        c
+        for c in lines(lattice)
+        if any(inner(c.vector, g.vector) != 0 for g in config.curves)
+    ]

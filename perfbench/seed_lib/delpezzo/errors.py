@@ -1,0 +1,50 @@
+"""Exception hierarchy shared by every module in the package."""
+
+from __future__ import annotations
+
+
+class LatticeError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class DomainError(LatticeError, ValueError):
+    """An argument is outside the domain an operation is defined on."""
+
+
+class ConfigurationError(DomainError):
+    """A set of curve classes fails the root-configuration constraints."""
+
+
+class ConstraintError(DomainError):
+    """A constructor invariant is violated by the supplied data."""
+
+
+class VectorParseError(DomainError):
+    """Vector text that does not match the `3h-e1-2e8` syntax.
+
+    `position` is the 0-based offset of the first offending character.
+    """
+
+    def __init__(self, text: str, position: int, reason: str):
+        self.text = text
+        self.position = position
+        self.reason = reason
+        super().__init__(f"cannot parse {text!r} at position {position}: {reason}")
+
+
+class OrbitCapError(LatticeError, RuntimeError):
+    """An orbit search exceeded its element cap.
+
+    `partial_count` is how many elements had been found when the cap hit.
+    """
+
+    def __init__(self, cap: int, partial_count: int):
+        self.cap = cap
+        self.partial_count = partial_count
+        super().__init__(
+            f"orbit exceeded cap of {cap} elements ({partial_count} found so far)"
+        )
+
+
+class InternalError(LatticeError, RuntimeError):
+    """A structural guarantee failed; indicates a bug, not bad input."""

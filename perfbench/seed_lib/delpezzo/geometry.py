@@ -1,0 +1,203 @@
+"""Curve classes on a marked del Pezzo lattice.
+
+Lines, conics and friends are enumerated exactly from (self-intersection,
+degree) data; the r = 6 lattice additionally carries the classical
+incidence structures: 45 coplanar triples, 72 sixes, 36 double sixes.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Iterable
+
+from .errors import DomainError, InternalError
+from .lattice import (
+    LatticeVector,
+    MarkedLattice,
+    degree,
+    inner,
+    vectors_of_type,
+    zero_vector,
+)
+from .roots import Root
+
+
+@dataclass(frozen=True, order=True)
+class CurveClass:
+    vector: LatticeVector
+    self_int: int
+    degree: int
+
+    @classmethod
+    def from_vector(cls, v: LatticeVector, lattice: MarkedLattice) -> "CurveClass":
+        return cls(v, inner(v, v), degree(v, lattice))
+
+
+def enumerate_classes(
+    lattice: MarkedLattice,
+    self_int: int,
+    deg: int,
+    *,
+    check_adjunction: bool = True,
+) -> list[CurveClass]:
+    """All classes with the given self-intersection and degree.
+
+    Smooth rational classes satisfy self_int - deg = -2 (adjunction); pass
+    check_adjunction=False to search outside that family.
+    """
+    if check_adjunction and self_int - deg != -2:
+        raise DomainError(
+            f"self_int - degree = {self_int - deg} != -2; "
+            "pass check_adjunction=False to search anyway"
+        )
+    return [
+        CurveClass(v, self_int, deg) for v in vectors_of_type(lattice, self_int, deg)
+    ]
+
+
+def lines(lattice: MarkedLattice) -> list[CurveClass]:
+    """Classes of lines: self-intersection -1, degree 1."""
+    return enumerate_classes(lattice, -1, 1)
+
+
+def conics(lattice: MarkedLattice) -> list[CurveClass]:
+    return enumerate_classes(lattice, 0, 2)
+
+
+def _line_vectors(lattice: MarkedLattice) -> list[LatticeVector]:
+    return [c.vector for c in lines(lattice)]
+
+
+def _sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
+    """Unordered line triples summing to kappa (r = 6 only).
+
+    Any two lines of such a triple meet once, so the triples are found by
+    completing each meeting pair; the completion kappa - L1 - L2 is
+    automatically a line.
+    """
+    if lattice.r != 6:
+        raise DomainError("coplanar triples require r = 6")
+    vecs = _line_vectors(lattice)
+    vset = set(vecs)
+    triples = set()
+    for i, a in enumerate(vecs):
+        for b in vecs[i + 1 :]:
+            if inner(a, b) != 1:
+                continue
+            c = lattice.kappa - a - b
+            if c in vset:
+                triples.add(frozenset((a, b, c)))
+    return _sorted_sets(triples)
+
+
+def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[LatticeVector]]:
+    """All k-element sets of pairwise-disjoint line classes."""
+    if not 1 <= k <= lattice.r:
+        raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
+    vecs = _line_vectors(lattice)
+    out: list[frozenset[LatticeVector]] = []
+
+    def extend(start: int, chosen: list[LatticeVector]) -> None:
+        if len(chosen) == k:
+            out.append(frozenset(chosen))
+            return
+        for idx in range(start, len(vecs)):
+            cand = vecs[idx]
+            if all(inner(cand, c) == 0 for c in chosen):
+                chosen.append(cand)
+                extend(idx + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return _sorted_sets(out)
+
+
+@dataclass(frozen=True)
+class BlowdownBasis:
+    """Alternative diagonal basis (gamma, eps_1..eps_r) with kappa = 3*gamma - sum eps_i."""
+
+    gamma: LatticeVector
+    epsilons: tuple[LatticeVector, ...]
+
+
+def blowdown_basis(
+    classes: Iterable[CurveClass | LatticeVector], lattice: MarkedLattice
+) -> BlowdownBasis:
+    """Complete r pairwise-disjoint lines to a blowdown basis.
+
+    gamma = (kappa + sum of the lines)/3; integrality of that vector is
+    exactly the condition for the lines to contract to a plane marking.
+    """
+    eps = tuple(sorted(c.vector if isinstance(c, CurveClass) else c for c in classes))
+    if len(eps) != lattice.r:
+        raise DomainError(f"need exactly r = {lattice.r} classes, got {len(eps)}")
+    for i, a in enumerate(eps):
+        if inner(a, a) != -1 or degree(a, lattice) != 1:
+            raise DomainError(f"{a} is not a line class")
+        for b in eps[i + 1 :]:
+            if inner(a, b) != 0:
+                raise DomainError(f"lines {a} and {b} are not disjoint")
+    total = lattice.kappa
+    for a in eps:
+        total = total + a
+    if any(c % 3 != 0 for c in total.coeffs()):
+        raise DomainError("gamma = (kappa + sum)/3 is not integral for these lines")
+    gamma = LatticeVector(total.coeff_h // 3, tuple(c // 3 for c in total.coeff_e))
+    assert inner(gamma, gamma) == 1
+    assert all(inner(gamma, a) == 0 for a in eps)
+    return BlowdownBasis(gamma, eps)
+
+
+def root_from_six(
+    six: Iterable[CurveClass | LatticeVector], lattice: MarkedLattice
+) -> Root:
+    """The root 2*gamma - sum eps_i attached to a six of disjoint lines (r = 6)."""
+    if lattice.r != 6:
+        raise DomainError("sixes require r = 6")
+    basis = blowdown_basis(six, lattice)
+    v = 2 * basis.gamma
+    for a in basis.epsilons:
+        v = v - a
+    return Root(v)
+
+
+def double_sixes(
+    lattice: MarkedLattice,
+) -> list[tuple[frozenset[LatticeVector], frozenset[LatticeVector]]]:
+    """The 36 double sixes: the 72 sixes paired off by opposite roots.
+
+    Partner sixes carry roots rho and -rho and interleave in the classical
+    pattern: under the right indexing L_i meets L_j' exactly when i != j.
+    """
+    if lattice.r != 6:
+        raise DomainError("double sixes require r = 6")
+    sixes = disjoint_line_sets(lattice, 6)
+    by_root: dict[LatticeVector, list[frozenset]] = defaultdict(list)
+    for six in sixes:
+        rho = root_from_six(six, lattice).vector
+        by_root[max(rho, -rho)].append(six)
+    pairs = []
+    for rho, group in by_root.items():
+        if len(group) != 2:
+            raise InternalError(f"root {rho} pairs {len(group)} sixes, expected 2")
+        first, second = sorted(group, key=lambda s: tuple(sorted(s)))
+        _check_double_six(first, second)
+        pairs.append((first, second))
+    return sorted(pairs, key=lambda p: tuple(sorted(p[0])))
+
+
+def _check_double_six(first: frozenset, second: frozenset) -> None:
+    partners = {}
+    for a in first:
+        disjoint = [b for b in second if inner(a, b) == 0]
+        meets = [b for b in second if inner(a, b) == 1]
+        if len(disjoint) != 1 or len(meets) != 5:
+            raise InternalError("six pair does not interleave as a double six")
+        partners[a] = disjoint[0]
+    if len(set(partners.values())) != 6:
+        raise InternalError("double six partner matching is not a bijection")

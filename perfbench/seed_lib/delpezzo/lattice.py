@@ -1,0 +1,371 @@
+"""Exact integer lattice Z^{1,r} with a marked anticanonical vector.
+
+The basis is h, e_1, ..., e_r with diagonal intersection form
+h.h = 1, e_i.e_i = -1, mixed products 0.  A marking singles out
+kappa = 3h - e_1 - ... - e_r together with the simple coroots of its
+orthogonal complement; every other module computes against this data.
+All arithmetic is arbitrary-precision integer/rational, never floating
+point, so invariants hold exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, lcm
+
+from .errors import DomainError, VectorParseError
+
+MIN_RANK = 3
+MAX_RANK = 8
+
+
+@dataclass(frozen=True, order=True)
+class LatticeVector:
+    """Integer vector a*h + sum_i c_i*e_i.
+
+    Ordering is lexicographic on (a, c_1, ..., c_r), which is the
+    deterministic order used by every enumeration in the package.
+    """
+
+    coeff_h: int
+    coeff_e: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.coeff_e)
+
+    def coeffs(self) -> tuple[int, ...]:
+        return (self.coeff_h, *self.coeff_e)
+
+    def __add__(self, other: "LatticeVector") -> "LatticeVector":
+        _check_same_rank(self, other)
+        return LatticeVector(
+            self.coeff_h + other.coeff_h,
+            tuple(a + b for a, b in zip(self.coeff_e, other.coeff_e)),
+        )
+
+    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
+        _check_same_rank(self, other)
+        return LatticeVector(
+            self.coeff_h - other.coeff_h,
+            tuple(a - b for a, b in zip(self.coeff_e, other.coeff_e)),
+        )
+
+    def __neg__(self) -> "LatticeVector":
+        return LatticeVector(-self.coeff_h, tuple(-c for c in self.coeff_e))
+
+    def __mul__(self, n: int) -> "LatticeVector":
+        if not isinstance(n, int):
+            return NotImplemented
+        return LatticeVector(n * self.coeff_h, tuple(n * c for c in self.coeff_e))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return self.coeff_h == 0 and not any(self.coeff_e)
+
+    def __str__(self) -> str:
+        return format_vector(self)
+
+
+def _check_same_rank(a: LatticeVector, b: LatticeVector) -> None:
+    if a.rank != b.rank:
+        raise DomainError(f"rank mismatch: {a.rank} vs {b.rank}")
+
+
+def zero_vector(r: int) -> LatticeVector:
+    return LatticeVector(0, (0,) * r)
+
+
+def basis_h(r: int) -> LatticeVector:
+    return LatticeVector(1, (0,) * r)
+
+
+def basis_e(r: int, i: int) -> LatticeVector:
+    """Unit vector e_i, 1-based index."""
+    if not 1 <= i <= r:
+        raise DomainError(f"basis index e{i} outside 1..{r}")
+    return LatticeVector(0, tuple(1 if j == i else 0 for j in range(1, r + 1)))
+
+
+def anticanonical(r: int) -> LatticeVector:
+    """kappa = 3h - e_1 - ... - e_r."""
+    return LatticeVector(3, (-1,) * r)
+
+
+def inner(a: LatticeVector, b: LatticeVector) -> int:
+    """Intersection product for the diagonal form (1, -1, ..., -1)."""
+    _check_same_rank(a, b)
+    return a.coeff_h * b.coeff_h - sum(x * y for x, y in zip(a.coeff_e, b.coeff_e))
+
+
+# --- text syntax ------------------------------------------------------------
+#
+# Vectors print and parse as sign-joined terms like "3h-e1-2e8"; an omitted
+# coefficient means 1, an omitted basis term means 0, the zero vector is "0".
+
+
+def format_vector(v: LatticeVector) -> str:
+    parts: list[tuple[str, str]] = []
+
+    def push(coeff: int, sym: str) -> None:
+        if coeff == 0:
+            return
+        mag = abs(coeff)
+        body = sym if mag == 1 else f"{mag}{sym}"
+        parts.append(("-" if coeff < 0 else "+", body))
+
+    push(v.coeff_h, "h")
+    for i, c in enumerate(v.coeff_e, 1):
+        push(c, f"e{i}")
+    if not parts:
+        return "0"
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += sign + body
+    return out
+
+
+def parse_vector(text: str, r: int) -> LatticeVector:
+    """Parse the `3h-e1-2e8` syntax back into a rank-r vector.
+
+    Exact round-trip partner of format_vector.  Raises VectorParseError
+    with the offset of the first offending character.
+    """
+    if text == "0":
+        return zero_vector(r)
+    if not text:
+        raise VectorParseError(text, 0, "empty vector text")
+    coeff_h = 0
+    coeff_e = [0] * r
+    i = 0
+    first = True
+    while i < len(text):
+        sign = 1
+        if text[i] in "+-":
+            sign = -1 if text[i] == "-" else 1
+            i += 1
+        elif not first:
+            raise VectorParseError(text, i, "expected '+' or '-' between terms")
+        j = i
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        mag = int(text[i:j]) if j > i else 1
+        if j >= len(text):
+            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
+        if text[j] == "h":
+            coeff_h += sign * mag
+            i = j + 1
+        elif text[j] == "e":
+            k = j + 1
+            while k < len(text) and text[k].isdigit():
+                k += 1
+            if k == j + 1:
+                raise VectorParseError(text, j + 1, "expected index digits after 'e'")
+            idx = int(text[j + 1 : k])
+            if not 1 <= idx <= r:
+                raise VectorParseError(text, j + 1, f"index e{idx} outside 1..{r}")
+            coeff_e[idx - 1] += sign * mag
+            i = k
+        else:
+            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
+        first = False
+    return LatticeVector(coeff_h, tuple(coeff_e))
+
+
+# --- marked lattice ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MarkedLattice:
+    """Z^{1,r} together with kappa and a simple coroot system for kappa-perp.
+
+    The simple coroots are alpha_i = e_i - e_{i+1} for i < r and
+    alpha_r = h - e_1 - e_2 - e_3; they form a Z-basis of kappa-perp.
+    """
+
+    r: int
+    kappa: LatticeVector
+    simple_coroots: tuple[LatticeVector, ...]
+
+    @property
+    def d(self) -> int:
+        """Degree kappa.kappa = 9 - r."""
+        return 9 - self.r
+
+    @property
+    def h(self) -> LatticeVector:
+        return basis_h(self.r)
+
+    def e(self, i: int) -> LatticeVector:
+        return basis_e(self.r, i)
+
+    def zero(self) -> LatticeVector:
+        return zero_vector(self.r)
+
+
+@lru_cache(maxsize=None)
+def make_marked_lattice(r: int) -> MarkedLattice:
+    if not isinstance(r, int) or not MIN_RANK <= r <= MAX_RANK:
+        raise DomainError(f"rank r must be an integer in {MIN_RANK}..{MAX_RANK}, got {r!r}")
+    kappa = anticanonical(r)
+    coroots = [basis_e(r, i) - basis_e(r, i + 1) for i in range(1, r)]
+    coroots.append(basis_h(r) - basis_e(r, 1) - basis_e(r, 2) - basis_e(r, 3))
+    lattice = MarkedLattice(r, kappa, tuple(coroots))
+    assert inner(kappa, kappa) == 9 - r
+    for alpha in lattice.simple_coroots:
+        assert inner(alpha, alpha) == -2 and inner(alpha, kappa) == 0
+    dual_basis_lifts(lattice)  # validates independence via the dual basis
+    return lattice
+
+
+def degree(v: LatticeVector, lattice: MarkedLattice) -> int:
+    """Pairing with kappa: 3a + sum_i c_i."""
+    return inner(v, lattice.kappa)
+
+
+@lru_cache(maxsize=None)
+def dual_basis_lifts(lattice: MarkedLattice) -> tuple[LatticeVector, ...]:
+    """Integral lifts w_i with <w_i, alpha_j> = delta_ij.
+
+    Unique up to adding multiples of kappa; these are the standard
+    representatives (h - e_1, 2h - e_1 - e_2, e_{i+1} + ... + e_r, h).
+    """
+    r = lattice.r
+    lifts = []
+    for i in range(1, r + 1):
+        if i == 1:
+            v = basis_h(r) - basis_e(r, 1)
+        elif i == 2:
+            v = 2 * basis_h(r) - basis_e(r, 1) - basis_e(r, 2)
+        elif i == r:
+            v = basis_h(r)
+        else:
+            v = zero_vector(r)
+            for j in range(i + 1, r + 1):
+                v = v + basis_e(r, j)
+        lifts.append(v)
+    for i, w in enumerate(lifts, 1):
+        for j, alpha in enumerate(lattice.simple_coroots, 1):
+            assert inner(w, alpha) == (1 if i == j else 0), (i, j)
+    return tuple(lifts)
+
+
+# --- discriminant data ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DiscriminantData:
+    """The degree-one marking class mu and the glue vector mu2.
+
+    mu2 = mu - kappa/(kappa.kappa) is stored as exact rational coordinates
+    over (h, e_1, ..., e_r); it generates the d-torsion discriminant group
+    of kappa-perp.
+    """
+
+    d: int
+    mu: LatticeVector
+    mu2: tuple[Fraction, ...]
+
+    def order(self) -> int:
+        """Additive order of mu2 modulo the integral lattice."""
+        return lcm(*(c.denominator for c in self.mu2))
+
+
+def discriminant_data(lattice: MarkedLattice) -> DiscriminantData:
+    r, d = lattice.r, lattice.d
+    mu = basis_e(r, r)
+    kappa = lattice.kappa
+    mu2 = tuple(
+        Fraction(m) - Fraction(k, d) for m, k in zip(mu.coeffs(), kappa.coeffs())
+    )
+    return DiscriminantData(d, mu, mu2)
+
+
+# --- lifting characters and weights -----------------------------------------
+
+
+def lift_character(a: int, psi: tuple[int, ...], lattice: MarkedLattice):
+    """Find lam with <lam, kappa> = a and <lam, alpha_i> = psi[i-1], or None.
+
+    A lift exists iff a is congruent mod 9-r to the degree of
+    sum_i psi_i * w_i; the spread of degrees over all lifts of the coroot
+    data is exactly one residue class mod 9-r.
+    """
+    r, d = lattice.r, lattice.d
+    if len(psi) != r:
+        raise DomainError(f"psi must have {r} entries, got {len(psi)}")
+    v = zero_vector(r)
+    for value, w in zip(psi, dual_basis_lifts(lattice)):
+        v = v + value * w
+    diff = a - degree(v, lattice)
+    if diff % d != 0:
+        return None
+    return v + (diff // d) * lattice.kappa
+
+
+def lift_weight(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVector:
+    """The lift of a coroot-value tuple, normalized to 0 <= degree < 9-r."""
+    r, d = lattice.r, lattice.d
+    if len(psi) != r:
+        raise DomainError(f"psi must have {r} entries, got {len(psi)}")
+    v = zero_vector(r)
+    for value, w in zip(psi, dual_basis_lifts(lattice)):
+        v = v + value * w
+    deg = degree(v, lattice)
+    return v + ((deg % d - deg) // d) * lattice.kappa
+
+
+def euler_char(v: LatticeVector, lattice: MarkedLattice) -> int:
+    """Riemann-Roch integer 1 + (v.v + deg v)/2.
+
+    The sum v.v + deg v is always even because kappa is characteristic.
+    """
+    return 1 + (inner(v, v) + degree(v, lattice)) // 2
+
+
+# --- bounded exact enumeration ----------------------------------------------
+
+
+def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[LatticeVector]:
+    """All v with <v,v> = norm and <v,kappa> = deg, in lexicographic order.
+
+    Writing v = a*h + sum c_i e_i the constraints read
+    sum c_i = deg - 3a and sum c_i^2 = a^2 - norm, so Cauchy-Schwarz
+    confines a to a finite interval and the c_i to a finite box; the
+    recursion prunes on partial sums, squares and parity.
+    """
+    r = lattice.r
+    disc = r * (deg * deg - (9 - r) * norm)
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    out: list[LatticeVector] = []
+    for a in range((3 * deg - s) // (9 - r) - 1, (3 * deg + s) // (9 - r) + 2):
+        need_sum = deg - 3 * a
+        need_sq = a * a - norm
+        if need_sq < 0 or need_sum * need_sum > r * need_sq:
+            continue
+        if (need_sum - need_sq) % 2 != 0:
+            continue
+        for tail in _coeff_solutions(r, need_sum, need_sq):
+            out.append(LatticeVector(a, tail))
+    out.sort()
+    return out
+
+
+def _coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
+    if k == 0:
+        return [()] if total == 0 and total_sq == 0 else []
+    sols = []
+    bound = isqrt(total_sq)
+    for c in range(-bound, bound + 1):
+        rest, rest_sq = total - c, total_sq - c * c
+        if rest * rest > (k - 1) * rest_sq or (rest - rest_sq) % 2 != 0:
+            continue
+        for tail in _coeff_solutions(k - 1, rest, rest_sq):
+            sols.append((c, *tail))
+    return sols

@@ -1,0 +1,245 @@
+"""Root systems of the orthogonal complement of kappa.
+
+Roots are the vectors of square -2 and degree 0; for r = 3..8 they form
+the systems A1+A2, A4, D5, E6, E7, E8.  Everything here is exact and
+emitted in lexicographic order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+from .errors import ConfigurationError, DomainError
+from .lattice import (
+    LatticeVector,
+    MarkedLattice,
+    basis_e,
+    basis_h,
+    degree,
+    dual_basis_lifts,
+    inner,
+    vectors_of_type,
+    zero_vector,
+)
+
+
+@dataclass(frozen=True, order=True)
+class Root:
+    """A lattice vector of square -2 orthogonal to kappa; self-validating."""
+
+    vector: LatticeVector
+
+    def __post_init__(self):
+        v = self.vector
+        if inner(v, v) != -2 or 3 * v.coeff_h + sum(v.coeff_e) != 0:
+            raise DomainError(f"{v} is not a root (need square -2 and degree 0)")
+
+
+def as_root_vector(x: Root | LatticeVector) -> LatticeVector:
+    """Accept either a Root or a bare vector, validating the latter."""
+    if isinstance(x, Root):
+        return x.vector
+    return Root(x).vector
+
+
+@dataclass(frozen=True, order=True)
+class DynkinType:
+    """Multiset of simply-laced components, e.g. (('A', 1), ('A', 2)).
+
+    Components are kept sorted by (letter, rank); printed as "A1+A2".
+    """
+
+    components: tuple[tuple[str, int], ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(n for _, n in self.components)
+
+    def __str__(self) -> str:
+        if not self.components:
+            return "trivial"
+        return "+".join(f"{letter}{n}" for letter, n in self.components)
+
+
+def enumerate_roots(lattice: MarkedLattice) -> list[Root]:
+    return [Root(v) for v in vectors_of_type(lattice, -2, 0)]
+
+
+def expand_in_simple(alpha: Root | LatticeVector, lattice: MarkedLattice) -> tuple[int, ...]:
+    """Coordinates of a degree-0 vector over the simple coroots.
+
+    The coordinates are read off against the dual basis lifts; the simple
+    coroots are a Z-basis of kappa-perp, so integral input gives integral
+    coordinates.
+    """
+    v = alpha.vector if isinstance(alpha, Root) else alpha
+    if degree(v, lattice) != 0:
+        raise DomainError(f"{v} has degree {degree(v, lattice)}, not in kappa-perp")
+    coords = tuple(inner(v, w) for w in dual_basis_lifts(lattice))
+    acc = zero_vector(lattice.r)
+    for c, a in zip(coords, lattice.simple_coroots):
+        acc = acc + c * a
+    assert acc == v
+    return coords
+
+
+def positive_roots(lattice: MarkedLattice) -> list[Root]:
+    """Roots whose simple-coroot coordinates are all non-negative."""
+    return [
+        root
+        for root in enumerate_roots(lattice)
+        if all(c >= 0 for c in expand_in_simple(root, lattice))
+    ]
+
+
+def root_height(alpha: Root | LatticeVector, lattice: MarkedLattice) -> int:
+    return sum(expand_in_simple(alpha, lattice))
+
+def highest_root(lattice: MarkedLattice) -> Root:
+    """The unique positive root of maximal height (r = 4..8 only)."""
+    r = lattice.r
+    if r == 3:
+        raise DomainError("rank 3 gives the non-simple system A1+A2; no highest root")
+    h = basis_h(r)
+    if r in (4, 5):
+        v = h - basis_e(r, r - 2) - basis_e(r, r - 1) - basis_e(r, r)
+    elif r in (6, 7):
+        v = 2 * h
+        for j in range(r - 5, r + 1):
+            v = v - basis_e(r, j)
+    else:
+        v = 3 * h - 2 * basis_e(r, 8)
+        for j in range(1, 8):
+            v = v - basis_e(r, j)
+    root = Root(v)
+    assert all(c >= 0 for c in expand_in_simple(root, lattice))
+    return root
+
+
+def cartan_matrix(lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the simple coroots, sign-adjusted so the diagonal is 2."""
+    alphas = lattice.simple_coroots
+    return tuple(tuple(-inner(a, b) for b in alphas) for a in alphas)
+
+
+# --- configuration classification -------------------------------------------
+
+
+def _exact_rank(vectors: Sequence[LatticeVector]) -> int:
+    rows = [[Fraction(c) for c in v.coeffs()] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / lead[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
+    """ADE type of an independent set of roots with pairwise products in {0, 1}."""
+    try:
+        vecs = [as_root_vector(x) for x in roots]
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    n = len(vecs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = inner(vecs[i], vecs[j])
+            if p not in (0, 1):
+                raise ConfigurationError(
+                    f"pairing <{vecs[i]}, {vecs[j]}> = {p} is outside {{0, 1}}"
+                )
+    if _exact_rank(vecs) < n:
+        raise ConfigurationError("roots are linearly dependent")
+    adj = {i: {j for j in range(n) if j != i and inner(vecs[i], vecs[j]) == 1} for i in range(n)}
+    components = []
+    seen: set[int] = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = _connected_component(start, adj)
+        seen |= comp
+        components.append(_classify_component(sorted(comp), adj, vecs))
+    return DynkinType(tuple(sorted(components)))
+
+
+def _connected_component(start: int, adj: dict[int, set[int]]) -> set[int]:
+    comp = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v] - comp:
+                comp.add(w)
+                nxt.append(w)
+        frontier = nxt
+    return comp
+
+
+def _classify_component(nodes, adj, vecs) -> tuple[str, int]:
+    n = len(nodes)
+    deg = {v: len(adj[v]) for v in nodes}
+    edges = sum(deg.values()) // 2
+    label = "+".join(str(vecs[v]) for v in nodes)
+    if edges != n - 1 or any(d > 3 for d in deg.values()):
+        raise ConfigurationError(f"component {{{label}}} is not a simply-laced diagram")
+    branch = [v for v in nodes if deg[v] == 3]
+    if not branch:
+        return ("A", n)
+    if len(branch) > 1:
+        raise ConfigurationError(f"component {{{label}}} has two branch nodes")
+    arms = sorted(_arm_length(branch[0], nb, adj) for nb in adj[branch[0]])
+    if arms[0] == 1 and arms[1] == 1:
+        return ("D", n)
+    if (arms[0], arms[1]) == (1, 2) and arms[2] in (2, 3, 4):
+        return ("E", n)
+    raise ConfigurationError(f"component {{{label}}} is not a simply-laced diagram")
+
+
+def _arm_length(branch: int, first: int, adj: dict[int, set[int]]) -> int:
+    prev, cur, length = branch, first, 1
+    while len(adj[cur]) == 2:
+        nxt = next(iter(adj[cur] - {prev}))
+        prev, cur, length = cur, nxt, length + 1
+    return length
+
+
+# --- aggregate --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RootSystemData:
+    """Everything about the root system of one marked lattice."""
+
+    all_roots: tuple[Root, ...]
+    positive: tuple[Root, ...]
+    highest: Root | None
+    cartan: tuple[tuple[int, ...], ...]
+    dynkin: DynkinType
+
+
+@lru_cache(maxsize=None)
+def root_system(lattice: MarkedLattice) -> RootSystemData:
+    roots = tuple(enumerate_roots(lattice))
+    pos = tuple(positive_roots(lattice))
+    assert {Root(-p.vector) for p in pos} | set(pos) == set(roots)
+    top = highest_root(lattice) if lattice.r >= 4 else None
+    return RootSystemData(
+        all_roots=roots,
+        positive=pos,
+        highest=top,
+        cartan=cartan_matrix(lattice),
+        dynkin=dynkin_type(lattice.simple_coroots),
+    )

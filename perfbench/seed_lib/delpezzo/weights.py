@@ -1,0 +1,160 @@
+"""Representation-theoretic weight data read off the lattice.
+
+Weights of the complement torus live in the lattice modulo kappa; the
+fundamental ones lift to explicit curve classes (conic, quartic, line
+chains, twisted cubic).  Minuscule/adjoint/dual classifications are all
+computed from exact pairings, never from tables.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import DomainError, InternalError
+from .lattice import (
+    LatticeVector,
+    MarkedLattice,
+    degree,
+    dual_basis_lifts,
+    inner,
+    zero_vector,
+)
+from .roots import Root, enumerate_roots, highest_root
+from .weyl import Word, apply_word, dominant_representative, is_dominant, orbit
+
+
+@dataclass(frozen=True, order=True)
+class WeightLift:
+    """Integral lift of a weight; `index` is set for fundamental ones."""
+
+    vector: LatticeVector
+    index: int | None = None
+
+
+def fundamental_weight_lift(lattice: MarkedLattice, i: int) -> WeightLift:
+    """Lift of the i-th fundamental weight: dual basis to the simple coroots.
+
+    Closed forms: w1 = h-e1 (conic), w2 = 2h-e1-e2 (quartic),
+    w_i = e_{i+1}+...+e_r for 3 <= i < r (disjoint lines), w_r = h
+    (twisted cubic).
+    """
+    if not 1 <= i <= lattice.r:
+        raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
+    return WeightLift(dual_basis_lifts(lattice)[i - 1], i)
+
+
+def _vector_of(w: WeightLift | LatticeVector) -> LatticeVector:
+    return w.vector if isinstance(w, WeightLift) else w
+
+
+def weight_evaluations(
+    w: WeightLift | LatticeVector, lattice: MarkedLattice
+) -> tuple[int, ...]:
+    """Pairings with the simple coroots; invariant under kappa shifts."""
+    v = _vector_of(w)
+    return tuple(inner(v, a) for a in lattice.simple_coroots)
+
+
+def is_minuscule(w: WeightLift | LatticeVector, lattice: MarkedLattice) -> bool:
+    """True when every root pairs with the weight in {-1, 0, 1}.
+
+    Requires a dominant input; equivalent to the Weyl group acting
+    transitively on the weights of the corresponding representation.
+    """
+    v = _vector_of(w)
+    if not is_dominant(v, lattice):
+        raise DomainError(f"{v} is not dominant")
+    return all(inner(v, root.vector) in (-1, 0, 1) for root in enumerate_roots(lattice))
+
+
+@dataclass(frozen=True)
+class WeightSystem:
+    """Multiset of weights mod kappa, stored as normalized lifts."""
+
+    entries: tuple[tuple[LatticeVector, int], ...]
+    dimension: int
+    highest: LatticeVector
+
+
+def _normalize_mod_kappa(v: LatticeVector, lattice: MarkedLattice) -> LatticeVector:
+    deg = degree(v, lattice)
+    return v + ((deg % lattice.d - deg) // lattice.d) * lattice.kappa
+
+
+def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
+    """Nonzero weights = the roots, zero weight with multiplicity r.
+
+    The highest weight is the class of kappa - (highest root); its
+    normalized lift has degree 0.
+    """
+    if lattice.r < 4:
+        raise DomainError("adjoint weight system requires 4 <= r <= 8")
+    roots = enumerate_roots(lattice)
+    entries = [(root.vector, 1) for root in roots]
+    entries.append((zero_vector(lattice.r), lattice.r))
+    entries.sort()
+    top = _normalize_mod_kappa(
+        lattice.kappa - highest_root(lattice).vector, lattice
+    )
+    return WeightSystem(tuple(entries), len(roots) + lattice.r, top)
+
+
+@dataclass(frozen=True)
+class DualPartner:
+    """Witness that w_i + w(w_partner) = multiple * kappa."""
+
+    index: int
+    partner: int
+    word: Word
+    multiple: int
+
+
+def dual_partner(i: int, lattice: MarkedLattice) -> DualPartner:
+    """Find the fundamental weight dual to the i-th, with an exact witness.
+
+    Descending -w_i to its dominant representative lands on a fundamental
+    lift shifted by a kappa multiple; reversing the descent word gives the
+    Weyl element of the witness equation.
+    """
+    lifts = dual_basis_lifts(lattice)
+    if not 1 <= i <= lattice.r:
+        raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
+    dom, descent = dominant_representative(-lifts[i - 1], lattice)
+    evals = tuple(inner(dom, a) for a in lattice.simple_coroots)
+    if sorted(evals) != [0] * (lattice.r - 1) + [1]:
+        raise InternalError(f"-w{i} descends to non-fundamental weight {dom}")
+    j = evals.index(1) + 1
+    shift = dom - lifts[j - 1]
+    if shift.coeff_h % 3 != 0 or shift != (shift.coeff_h // 3) * lattice.kappa:
+        raise InternalError(f"descent of -w{i} is not a kappa shift of w{j}")
+    m = shift.coeff_h // 3
+    word = tuple(reversed(descent))
+    n = -m
+    assert lifts[i - 1] + apply_word(word, lifts[j - 1], lattice) == n * lattice.kappa
+    return DualPartner(i, j, word, n)
+
+
+def cubic_form_support(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
+    """Weight triples of the 27-dimensional system summing to kappa (r = 6).
+
+    Computed from the Weyl orbit of the line weight, independently of the
+    curve-class search route.
+    """
+    if lattice.r != 6:
+        raise DomainError("cubic form support requires r = 6")
+    weights = orbit(dual_basis_lifts(lattice)[4], lattice)
+    wset = set(weights)
+    triples = set()
+    for i, a in enumerate(weights):
+        for b in weights[i + 1 :]:
+            c = lattice.kappa - a - b
+            if c != a and c != b and c in wset:
+                triples.add(frozenset((a, b, c)))
+    return sorted(triples, key=lambda s: tuple(sorted(s)))
+
+
+def central_character(
+    w: WeightLift | LatticeVector, lattice: MarkedLattice
+) -> int:
+    """Degree of the weight mod 9-r: the character of the diagonal center."""
+    return degree(_vector_of(w), lattice) % lattice.d
