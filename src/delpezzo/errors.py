@@ -35,7 +35,10 @@ class VectorParseError(DomainError):
 class OrbitCapError(LatticeError, RuntimeError):
     """An orbit search exceeded its element cap.
 
-    `partial_count` is how many elements had been found when the cap hit.
+    `partial_count` is how many elements had been found when the cap hit,
+    which is max(cap, 1).  `weyl.orbit` raises it before any search: it
+    compares the orbit size |W|/|W_J| of the dominant representative with
+    the cap first, and reports the same count.
     """
 
     def __init__(self, cap: int, partial_count: int):

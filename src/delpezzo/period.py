@@ -26,6 +26,10 @@ class TorsionPoint:
     y: Fraction
 
     def __post_init__(self):
+        if isinstance(self.x, float) or isinstance(self.y, float):
+            raise DomainError(
+                f"torsion point coordinates must be exact, got floats in ({self.x!r}, {self.y!r})"
+            )
         object.__setattr__(self, "x", Fraction(self.x) % 1)
         object.__setattr__(self, "y", Fraction(self.y) % 1)
 

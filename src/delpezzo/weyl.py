@@ -3,10 +3,18 @@
 The group is generated by the reflections in the simple coroots; it is
 exactly the isometry group of the marked lattice fixing kappa, which is
 what connect_markings exploits to factor an isometry into a word.
+
+The simple reflections run on raw coefficient tuples (a, c_1, ..., c_r).
+For i < r the label <v, alpha_i> is c_{i+1} - c_i and s_i swaps c_i and
+c_{i+1}; for i = r the label is m = a + c_1 + c_2 + c_3 and s_r adds m
+to a and subtracts it from c_1, c_2, c_3.  Words, descents and orbits
+all use this one kernel; LatticeVector appears only at the API boundary.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
@@ -17,11 +25,11 @@ from .lattice import (
     basis_h,
     dual_basis_lifts,
     inner,
-    zero_vector,
 )
 from .roots import Root, as_root_vector
 
 Word = tuple[int, ...]
+Coeffs = tuple[int, ...]
 
 DEFAULT_ORBIT_CAP = 10_000_000
 
@@ -52,6 +60,130 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
     return v + inner(v, a) * a
 
 
+# --- the coefficient-tuple kernel ---------------------------------------------
+
+
+def _coeffs(v: LatticeVector, lattice: MarkedLattice) -> Coeffs:
+    if v.rank != lattice.r:
+        raise DomainError(f"rank mismatch: {v.rank} vs {lattice.r}")
+    return (v.coeff_h, *v.coeff_e)
+
+
+def _vector(t: Coeffs) -> LatticeVector:
+    return LatticeVector(t[0], t[1:])
+
+
+def _labels(t: Coeffs) -> list[int]:
+    """Pairings <t, alpha_i> with the simple coroots; entry i-1 is label i."""
+    out = [y - x for x, y in zip(t[1:-1], t[2:])]
+    out.append(t[0] + t[1] + t[2] + t[3])
+    return out
+
+
+def _reflect(t: Coeffs, i: int) -> Coeffs:
+    """Simple reflection s_i, 1-based."""
+    if i < len(t) - 1:
+        return t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
+    m = t[0] + t[1] + t[2] + t[3]
+    return (t[0] + m, t[1] - m, t[2] - m, t[3] - m) + t[4:]
+
+
+def _descend(t: Coeffs) -> tuple[Coeffs, list[int]]:
+    """Reflect at the lowest negative label until none is left."""
+    word = []
+    while True:
+        for i, x in enumerate(_labels(t), 1):
+            if x < 0:
+                t = _reflect(t, i)
+                word.append(i)
+                break
+        else:
+            return t, word
+
+
+_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(r: int, nodes: frozenset[int]) -> int:
+    """|W_J| for the simple reflections J = `nodes` of the E_r diagram.
+
+    Nodes 1..r-1 form a chain and, for r >= 4, node r hangs off node 3.
+    So every component of J is a run of chain nodes, with node r attached
+    when the run holds node 3: type A_n, or D_n / E_n when node 3 is
+    inside the run and becomes a branch point.
+    """
+    runs: list[list[int]] = []
+    for i in sorted(n for n in nodes if n < r):
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    order = 1
+    spare = r in nodes  # node r not yet counted in a component
+    for lo, hi in runs:
+        n = hi - lo + 1
+        if spare and r > 3 and lo <= 3 <= hi:
+            spare = False
+            n += 1
+            if lo < 3 < hi:  # arms of lengths 3 - lo, hi - 3 and 1
+                if min(3 - lo, hi - 3) == 2:
+                    order *= _E_ORDERS[n]
+                else:
+                    order *= 2 ** (n - 1) * factorial(n)
+                continue
+        order *= factorial(n + 1)
+    return order * 2 if spare else order
+
+
+def _orbit_size(dom: Coeffs) -> int:
+    """|W|/|W_J| for a dominant tuple, J being its zero labels (Humphreys 1.12)."""
+    r = len(dom) - 1
+    zeros = frozenset(i for i, x in enumerate(_labels(dom), 1) if x == 0)
+    return _parabolic_order(r, frozenset(range(1, r + 1))) // _parabolic_order(r, zeros)
+
+
+def _reverse_search(dom: Coeffs) -> list[Coeffs]:
+    """Every element of the orbit of the dominant tuple `dom`, each once.
+
+    _descend gives each non-dominant u the parent s_p u, p its lowest
+    negative label.  Reversed (Avis & Fukuda), s_j u is a child of u when
+    label j of u is positive and s_j u has no negative label below j; the
+    children edges form a spanning tree of the orbit rooted at dom, so no
+    seen-set is needed.  Label i of s_j u is label i of u, plus label j
+    of u when nodes i and j are adjacent; the only node below j adjacent
+    to it is j - 1 for j < r and node 3 for j = r.
+    """
+    r = len(dom) - 1
+    found = [dom]
+    frontier = [dom]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            lab = _labels(u)
+            p = r  # 0-based index of the lowest negative label, r if none
+            for k, x in enumerate(lab):
+                if x < 0:
+                    p = k
+                    break
+            for k in range(min(p + 2, r - 1)):
+                x = lab[k]
+                if x > 0 and (k < p or lab[p] + x >= 0):
+                    nxt.append(u[: k + 1] + (u[k + 2], u[k + 1]) + u[k + 3 :])
+            m = lab[-1]
+            if m > 0 and (
+                p >= r - 1
+                or (p == 2 < r - 1 and lab[2] + m >= 0 and min(lab[3:-1], default=0) >= 0)
+            ):
+                nxt.append((u[0] + m, u[1] - m, u[2] - m, u[3] - m) + u[4:])
+        found += nxt
+        frontier = nxt
+    return found
+
+
+# --- public API ---------------------------------------------------------------
+
+
 def _check_index(i: int, lattice: MarkedLattice) -> None:
     if not 1 <= i <= lattice.r:
         raise DomainError(f"simple reflection index {i} outside 1..{lattice.r}")
@@ -59,11 +191,11 @@ def _check_index(i: int, lattice: MarkedLattice) -> None:
 
 def apply_word(word: Iterable[int], v: LatticeVector, lattice: MarkedLattice) -> LatticeVector:
     """Apply simple reflections left to right (first index acts first)."""
+    t = None
     for i in word:
         _check_index(i, lattice)
-        a = lattice.simple_coroots[i - 1]
-        v = v + inner(v, a) * a
-    return v
+        t = _reflect(_coeffs(v, lattice) if t is None else t, i)
+    return v if t is None else _vector(t)
 
 
 def orbit(
@@ -71,23 +203,21 @@ def orbit(
 ) -> list[LatticeVector]:
     """Weyl orbit of v, in lexicographic order.
 
-    Breadth-first closure under the simple reflections; raises
-    OrbitCapError once more than `cap` elements have been found.
+    The orbit size |W|/|W_J|, J the zero labels of the dominant
+    representative, is checked against the cap before any work:
+    OrbitCapError is raised when it exceeds max(cap, 1).  Otherwise the
+    orbit is enumerated by reverse search from the dominant representative.
     """
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for a in lattice.simple_coroots:
-                w = u + inner(u, a) * a
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapError(cap, len(seen))
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
+    dom, _ = _descend(_coeffs(v, lattice))
+    size = _orbit_size(dom)
+    limit = max(cap, 1)
+    if size > limit:
+        raise OrbitCapError(cap, limit)
+    found = _reverse_search(dom)
+    if len(found) != size:
+        raise InternalError(f"reverse search found {len(found)} elements, |W|/|W_J| = {size}")
+    found.sort()
+    return list(map(_vector, found))
 
 
 def orbit_of_set(
@@ -99,26 +229,32 @@ def orbit_of_set(
 
     Elements are kept as sorted tuples, so the action is on k-element
     multisets; used for transitivity checks on line k-tuples.
+    Breadth-first closure under the simple reflections; raises
+    OrbitCapError once more than `cap` elements have been found.
     """
-    start = tuple(sorted(vectors))
+    start = tuple(_coeffs(u, lattice) for u in sorted(vectors))
+    gens = range(1, lattice.r + 1)
+    # The sets share few distinct vectors, so each is reflected and wrapped once.
+    step = lru_cache(maxsize=None)(_reflect)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for tup in frontier:
-            for a in lattice.simple_coroots:
-                image = tuple(sorted(u + inner(u, a) * a for u in tup))
+            for i in gens:
+                image = tuple(sorted([step(u, i) for u in tup]))
                 if image not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapError(cap, len(seen))
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt
-    return sorted(seen)
+    wrap = lru_cache(maxsize=None)(_vector)
+    return [tuple(map(wrap, tup)) for tup in sorted(seen)]
 
 
 def is_dominant(v: LatticeVector, lattice: MarkedLattice) -> bool:
-    return all(inner(v, a) >= 0 for a in lattice.simple_coroots)
+    return min(_labels(_coeffs(v, lattice))) >= 0
 
 
 def dominant_representative(
@@ -130,16 +266,8 @@ def dominant_representative(
     representative; ties broken by always reflecting at the lowest index,
     so the word is deterministic.
     """
-    word: list[int] = []
-    cur = v
-    while True:
-        for i, a in enumerate(lattice.simple_coroots, 1):
-            if inner(cur, a) < 0:
-                cur = cur + inner(cur, a) * a
-                word.append(i)
-                break
-        else:
-            return cur, tuple(word)
+    dom, word = _descend(_coeffs(v, lattice))
+    return (_vector(dom) if word else v), tuple(word)
 
 
 # --- isometries as matrices --------------------------------------------------
@@ -183,22 +311,19 @@ def connect_markings(
     if kappa_image != lattice.kappa:
         raise DomainError("matrix does not fix kappa")
 
-    def act(v: LatticeVector) -> LatticeVector:
-        acc = v.coeff_h * images[0]
-        for c, img in zip(v.coeff_e, images[1:]):
-            acc = acc + c * img
-        return acc
-
+    columns = [img.coeffs() for img in images]
     # A strictly dominant vector has trivial stabilizer, so matching its
     # image pins the group element uniquely.
-    regular = zero_vector(r)
-    for w in dual_basis_lifts(lattice):
-        regular = regular + w
-    dom, descent = dominant_representative(act(regular), lattice)
+    regular = tuple(map(sum, zip(*(w.coeffs() for w in dual_basis_lifts(lattice)))))
+    image = tuple(sum(c * col[i] for c, col in zip(regular, columns)) for i in range(r + 1))
+    dom, descent = _descend(image)
     if dom != regular:
         raise InternalError("isometry is not a Weyl element; kappa-fixing guarantee broken")
     word = tuple(reversed(descent))
-    for b in basis:
-        if apply_word(word, b, lattice) != act(b):
+    for j, col in enumerate(columns):
+        t = tuple(int(i == j) for i in range(r + 1))
+        for i in word:
+            t = _reflect(t, i)
+        if t != col:
             raise InternalError("word reconstruction failed to match the isometry")
     return word

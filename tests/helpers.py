@@ -10,7 +10,15 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from delpezzo import LatticeVector, MarkedLattice, basis_e, basis_h, zero_vector
+from delpezzo import (
+    LatticeVector,
+    MarkedLattice,
+    OrbitCapError,
+    basis_e,
+    basis_h,
+    inner,
+    zero_vector,
+)
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -88,3 +96,43 @@ def exact_determinant(matrix) -> int:
         minor = [row[:j] + row[j + 1 :] for row in [list(m) for m in matrix[1:]]]
         total += (-1) ** j * matrix[0][j] * exact_determinant(minor)
     return total
+
+
+def bfs_orbit(
+    v: LatticeVector, lattice: MarkedLattice, cap: int = 10_000_000
+) -> list[LatticeVector]:
+    """Breadth-first closure under the simple reflections, on LatticeVector
+    arithmetic; raises OrbitCapError once more than `cap` elements are found.
+    Oracle for weyl.orbit."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a in lattice.simple_coroots:
+                w = u + inner(u, a) * a
+                if w not in seen:
+                    if len(seen) >= cap:
+                        raise OrbitCapError(cap, len(seen))
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+def bfs_orbit_of_set(vectors, lattice: MarkedLattice) -> list[tuple[LatticeVector, ...]]:
+    """Breadth-first closure of a sorted tuple of vectors under the diagonal
+    action, on LatticeVector arithmetic.  Oracle for weyl.orbit_of_set."""
+    start = tuple(sorted(vectors))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for tup in frontier:
+            for a in lattice.simple_coroots:
+                image = tuple(sorted(u + inner(u, a) * a for u in tup))
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return sorted(seen)

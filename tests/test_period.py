@@ -43,6 +43,13 @@ def test_torsion_point_arithmetic():
     assert str(Z) == "0,0"
 
 
+def test_torsion_point_rejects_floats():
+    for x, y in [(0.1, 0), (0, 0.5), (Fraction(1, 2), 1.0)]:
+        with pytest.raises(DomainError):
+            TorsionPoint(x, y)
+    assert TorsionPoint(1, "1/3") == TorsionPoint(Fraction(0), Fraction(1, 3))
+
+
 def test_torsion_point_parse():
     assert TorsionPoint.parse("1/2,0") == HALF
     assert TorsionPoint.parse("5/2,-1/4") == TorsionPoint(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,15 @@ from delpezzo import (
     reflect,
     word_matrix,
 )
-from helpers import LINE_COUNTS, ROOT_COUNTS, random_vector, random_word
+from delpezzo.weyl import _parabolic_order
+from helpers import (
+    LINE_COUNTS,
+    ROOT_COUNTS,
+    bfs_orbit,
+    bfs_orbit_of_set,
+    random_vector,
+    random_word,
+)
 
 WEYL_ORDER = {4: 120, 5: 1920, 6: 51840}
 
@@ -121,6 +130,115 @@ def test_orbit_cap():
     assert exc.value.partial_count >= 10
     # exactly at the orbit size is fine
     assert len(orbit(M.e(6), M, cap=27)) == 27
+
+
+def _cap_outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OrbitCapError as exc:
+        return ("cap", exc.cap, exc.partial_count, str(exc))
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_orbit_cap_boundary_matches_bfs_oracle(r):
+    # raises iff the orbit is larger than max(cap, 1), always reporting
+    # max(cap, 1) found; a one-element orbit passes even cap = 0
+    M = make_marked_lattice(r)
+    for v in (M.kappa, M.e(r), M.simple_coroots[0], dual_basis_lifts(M)[1]):
+        for cap in (-3, 0, 1, 2, 5, 6, 26, 27, 28):
+            assert _cap_outcome(orbit, v, M, cap=cap) == _cap_outcome(bfs_orbit, v, M, cap)
+
+
+def test_orbit_cap_is_checked_before_any_search():
+    # the regular E8 orbit has |W(E8)| = 696,729,600 elements
+    M = make_marked_lattice(8)
+    regular = dual_basis_lifts(M)[0]
+    for w in dual_basis_lifts(M)[1:]:
+        regular = regular + w
+    start = time.perf_counter()
+    with pytest.raises(OrbitCapError) as exc:
+        orbit(regular, M, cap=10**6)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.cap == 10**6
+    assert exc.value.partial_count == 10**6
+    assert str(exc.value) == "orbit exceeded cap of 1000000 elements (1000000 found so far)"
+
+
+@pytest.mark.parametrize(
+    "r, nodes, order",
+    [
+        (3, {1, 2, 3}, 12),  # A2 + A1
+        (4, {1, 2, 3, 4}, 120),  # A4
+        (5, {1, 2, 3, 4, 5}, 1920),  # D5
+        (6, {1, 2, 3, 4, 5, 6}, 51840),  # E6
+        (7, {1, 2, 3, 4, 5, 6, 7}, 2903040),  # E7
+        (8, set(range(1, 9)), 696729600),  # E8
+        (8, set(range(1, 8)), 40320),  # A7
+        (8, {2, 3, 4, 8}, 192),  # D4
+        (8, {1, 2, 3, 4, 5, 6, 8}, 2903040),  # E7
+        (8, {2, 3, 4, 5, 6, 7, 8}, 2**6 * 5040),  # D7
+        (8, {1, 2, 4, 5, 7, 8}, 6 * 6 * 2 * 2),  # A2 + A2 + A1 + A1
+        (6, {3, 6}, 6),  # A2 through the branch node
+        (6, set(), 1),
+    ],
+)
+def test_parabolic_orders_by_type(r, nodes, order):
+    assert _parabolic_order(r, frozenset(nodes)) == order
+
+
+@pytest.mark.parametrize(
+    "r, i", [(r, i) for r in range(3, 8) for i in range(1, r + 1)] + [(8, 1), (8, 7), (8, 8)]
+)
+def test_orbit_matches_bfs_oracle_on_fundamental_weights(r, i):
+    M = make_marked_lattice(r)
+    w = dual_basis_lifts(M)[i - 1]
+    assert orbit(w, M) == bfs_orbit(w, M)
+
+
+@pytest.mark.parametrize(
+    "r, i, j",
+    [(6, i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    + [(7, 1, 2), (7, 1, 6), (7, 1, 7), (7, 2, 6), (7, 5, 6), (7, 6, 7)],
+)
+def test_orbit_matches_bfs_oracle_on_weight_sums(r, i, j):
+    M = make_marked_lattice(r)
+    lifts = dual_basis_lifts(M)
+    v = apply_word(random_word(random.Random(100 * i + j), r, 12), lifts[i - 1] + lifts[j - 1], M)
+    assert orbit(v, M) == bfs_orbit(v, M)
+
+
+@pytest.mark.parametrize("r, count", [(4, 6), (5, 6), (6, 3), (7, 2)])
+def test_orbit_matches_bfs_oracle_off_kappa_perp(r, count):
+    M = make_marked_lattice(r)
+    rng = random.Random(600 + r)
+    done = 0
+    while done < count:
+        v = random_vector(rng, r)
+        if degree(v, M) == 0:
+            continue
+        try:
+            got = orbit(v, M, cap=50_000)
+        except OrbitCapError:
+            continue
+        assert got == bfs_orbit(v, M)
+        done += 1
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_orbit_of_zero_and_kappa_multiples(r):
+    M = make_marked_lattice(r)
+    for v in (M.zero(), M.kappa, -2 * M.kappa, 5 * M.kappa):
+        assert orbit(v, M) == bfs_orbit(v, M) == [v]
+
+
+@pytest.mark.parametrize("r, k, size", [(6, 2, 216), (6, 3, 720), (7, 2, 756), (7, 3, 4032)])
+def test_orbit_of_set_matches_bfs_oracle(r, k, size):
+    M = make_marked_lattice(r)
+    word = random_word(random.Random(700 + 10 * r + k), r, 12)
+    lines = [apply_word(word, M.e(r - j), M) for j in range(k)]
+    got = orbit_of_set(lines, M)
+    assert len(got) == size
+    assert got == bfs_orbit_of_set(lines, M)
 
 
 def test_orbit_invariant_under_conjugated_generators():
