@@ -4,16 +4,23 @@ A period assigns an exact torsion point to each basis vector subject to
 the single relation 3*pi(h) = sum_i pi(e_i) (kappa must die).  The Weyl
 group acts by precomposition; canonicalization picks the lexicographically
 least coroot-value tuple on the orbit.
+
+The arithmetic runs on one integer kernel of residues.  With N the lcm of
+the denominators of a period's images, the torus value (X/N, Y/N), with
+0 <= X, Y < N, is the int X*N + Y; this packing orders values as
+TorsionPoint does, by (x, y).  Values on vectors are integer dot products
+mod N, and TorsionPoint appears only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError, OrbitCapError
-from .lattice import LatticeVector, MarkedLattice, inner
+from .lattice import LatticeVector, MarkedLattice, anticanonical, inner
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -81,6 +88,41 @@ class PeriodHomomorphism:
         return len(self.images) - 1
 
 
+# --- the residue kernel -------------------------------------------------------
+
+
+def _residues(points: Sequence[TorsionPoint]) -> tuple[int, list[int], list[int]]:
+    """Common denominator N and the numerators over N of every x and y."""
+    n = lcm(*(p.x.denominator for p in points), *(p.y.denominator for p in points))
+    xs = [p.x.numerator * (n // p.x.denominator) for p in points]
+    ys = [p.y.numerator * (n // p.y.denominator) for p in points]
+    return n, xs, ys
+
+
+def _dot(coeffs: Sequence[int], xs: list[int], ys: list[int], n: int) -> int:
+    """Packed residue of the combination sum_i coeffs[i] * (xs[i], ys[i])."""
+    x = sum(c * v for c, v in zip(coeffs, xs)) % n
+    return x * n + sum(c * v for c, v in zip(coeffs, ys)) % n
+
+
+def _point(value: int, n: int) -> TorsionPoint:
+    x, y = divmod(value, n)
+    return TorsionPoint(Fraction(x, n), Fraction(y, n))
+
+
+def _coroot_residues(
+    period: PeriodHomomorphism, lattice: MarkedLattice
+) -> tuple[int, tuple[int, ...]]:
+    """N and the packed values of the period on the simple coroots."""
+    if period.r != lattice.r:
+        raise DomainError(f"period rank {period.r} != lattice rank {lattice.r}")
+    n, xs, ys = _residues(period.images)
+    return n, tuple(_dot(a.coeffs(), xs, ys, n) for a in lattice.simple_coroots)
+
+
+# --- public API ---------------------------------------------------------------
+
+
 def make_period(points: Sequence[TorsionPoint]) -> PeriodHomomorphism:
     """Build a period from basis images, enforcing the kappa constraint."""
     images = tuple(points)
@@ -88,12 +130,11 @@ def make_period(points: Sequence[TorsionPoint]) -> PeriodHomomorphism:
         raise DomainError(
             f"need images for h and e_1..e_r with 3 <= r <= 8, got {len(images)}"
         )
-    residue = 3 * images[0]
-    for p in images[1:]:
-        residue = residue - p
-    if not residue.is_zero():
+    n, xs, ys = _residues(images)
+    residue = _dot(anticanonical(len(images) - 1).coeffs(), xs, ys, n)
+    if residue:
         raise ConstraintError(
-            f"kappa image must vanish; got {residue} from these assignments"
+            f"kappa image must vanish; got {_point(residue, n)} from these assignments"
         )
     return PeriodHomomorphism(images)
 
@@ -102,19 +143,16 @@ def evaluate(period: PeriodHomomorphism, v: LatticeVector) -> TorsionPoint:
     """Value on any lattice vector, linear in the coefficients."""
     if v.rank != period.r:
         raise DomainError(f"vector rank {v.rank} != period rank {period.r}")
-    acc = v.coeff_h * period.images[0]
-    for c, p in zip(v.coeff_e, period.images[1:]):
-        acc = acc + c * p
-    return acc
+    n, xs, ys = _residues(period.images)
+    return _point(_dot(v.coeffs(), xs, ys, n), n)
 
 
 def restrict_to_coroots(
     period: PeriodHomomorphism, lattice: MarkedLattice
 ) -> tuple[TorsionPoint, ...]:
     """Values on the simple coroots; zero everywhere iff the period kills kappa-perp."""
-    if period.r != lattice.r:
-        raise DomainError(f"period rank {period.r} != lattice rank {lattice.r}")
-    return tuple(evaluate(period, a) for a in lattice.simple_coroots)
+    n, values = _coroot_residues(period, lattice)
+    return tuple(_point(v, n) for v in values)
 
 
 def weyl_canonicalize(
@@ -125,13 +163,18 @@ def weyl_canonicalize(
     """Least coroot-value tuple over the orbit of precompositions by W.
 
     Precomposing with the reflection s_j sends the value tuple v to
-    v_i + <alpha_i, alpha_j> v_j; breadth-first closure under these maps,
-    capped at `cap` tuples.
+    v_i + <alpha_i, alpha_j> v_j: it negates v_j, adds v_j to the Dynkin
+    neighbours of j and leaves the rest alone, so it fixes tuples with
+    v_j = 0.  Breadth-first closure under these maps on tuples of packed
+    residues, capped at `cap` tuples; only the least tuple is turned back
+    into TorsionPoints.
     """
-    start = restrict_to_coroots(period, lattice)
-    r = lattice.r
-    gram = [
-        [inner(a, b) for b in lattice.simple_coroots] for a in lattice.simple_coroots
+    n, start = _coroot_residues(period, lattice)
+    nn = n * n
+    coroots = lattice.simple_coroots
+    moves = [
+        (j, [i for i, b in enumerate(coroots) if inner(b, a) == 1])
+        for j, a in enumerate(coroots)
     ]
     seen = {start}
     frontier = [start]
@@ -139,10 +182,21 @@ def weyl_canonicalize(
     while frontier:
         nxt = []
         for tup in frontier:
-            for j in range(r):
-                image = tuple(
-                    tup[i] + gram[i][j] * tup[j] for i in range(r)
-                )
+            for j, neighbours in moves:
+                v = tup[j]
+                if not v:
+                    continue
+                vx, vy = divmod(v, n)
+                image = list(tup)
+                image[j] = -vx % n * n + -vy % n
+                for i in neighbours:
+                    w = image[i] + v
+                    if w % n < vy:  # y wrapped past N and carried into x
+                        w -= n
+                    if w >= nn:
+                        w -= nn
+                    image[i] = w
+                image = tuple(image)
                 if image not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapError(cap, len(seen))
@@ -151,4 +205,4 @@ def weyl_canonicalize(
                     if image < best:
                         best = image
         frontier = nxt
-    return best
+    return tuple(_point(v, n) for v in best)

@@ -63,10 +63,19 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
 # --- the coefficient-tuple kernel ---------------------------------------------
 
 
+def _check_ints(values: Iterable[int], what: str) -> None:
+    """The kernel is exact integer arithmetic: refuse floats, Fractions and the like."""
+    for c in values:
+        if not isinstance(c, int):
+            raise DomainError(f"{what} must be integers, got {c!r}")
+
+
 def _coeffs(v: LatticeVector, lattice: MarkedLattice) -> Coeffs:
     if v.rank != lattice.r:
         raise DomainError(f"rank mismatch: {v.rank} vs {lattice.r}")
-    return (v.coeff_h, *v.coeff_e)
+    t = (v.coeff_h, *v.coeff_e)
+    _check_ints(t, "vector coefficients")
+    return t
 
 
 def _vector(t: Coeffs) -> LatticeVector:
@@ -296,6 +305,7 @@ def connect_markings(
     r = lattice.r
     if len(matrix) != r + 1 or any(len(row) != r + 1 for row in matrix):
         raise DomainError(f"matrix must be {r + 1}x{r + 1}")
+    _check_ints((c for row in matrix for c in row), "matrix entries")
     images = [
         LatticeVector(matrix[0][j], tuple(matrix[i][j] for i in range(1, r + 1)))
         for j in range(r + 1)

@@ -17,6 +17,7 @@ from delpezzo import (
     basis_e,
     basis_h,
     inner,
+    restrict_to_coroots,
     zero_vector,
 )
 
@@ -136,3 +137,32 @@ def bfs_orbit_of_set(vectors, lattice: MarkedLattice) -> list[tuple[LatticeVecto
                     nxt.append(image)
         frontier = nxt
     return sorted(seen)
+
+
+def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):
+    """Least coroot-value tuple over the W-orbit of a period, by breadth-first
+    closure on TorsionPoint (Fraction) arithmetic: precomposing with s_j
+    sends v to v_i + <alpha_i, alpha_j> v_j.  Raises OrbitCapError once more
+    than `cap` tuples are found.  Oracle for period.weyl_canonicalize."""
+    start = restrict_to_coroots(period, lattice)
+    r = lattice.r
+    gram = [
+        [inner(a, b) for b in lattice.simple_coroots] for a in lattice.simple_coroots
+    ]
+    seen = {start}
+    frontier = [start]
+    best = start
+    while frontier:
+        nxt = []
+        for tup in frontier:
+            for j in range(r):
+                image = tuple(tup[i] + gram[i][j] * tup[j] for i in range(r))
+                if image not in seen:
+                    if len(seen) >= cap:
+                        raise OrbitCapError(cap, len(seen))
+                    seen.add(image)
+                    nxt.append(image)
+                    if image < best:
+                        best = image
+        frontier = nxt
+    return best

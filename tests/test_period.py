@@ -19,7 +19,12 @@ from delpezzo import (
     restrict_to_coroots,
     weyl_canonicalize,
 )
-from helpers import random_vector, random_word
+from helpers import (
+    bfs_canonicalize,
+    closed_form_positive_roots,
+    random_vector,
+    random_word,
+)
 
 Z = TorsionPoint.zero()
 HALF = TorsionPoint(Fraction(1, 2), Fraction(0))
@@ -203,3 +208,119 @@ def test_canonicalize_cap():
     )
     with pytest.raises(OrbitCapError):
         weyl_canonicalize(period, M, cap=2)
+
+
+# --- the residue kernel against the Fraction BFS oracle -------------------------
+
+
+def _assert_exact(got, want):
+    assert got == want
+    assert all(type(p.x) is Fraction and type(p.y) is Fraction for p in got)
+
+
+def _tied_period(r: int, family: str, t: TorsionPoint) -> PeriodHomomorphism:
+    """pi(h) = 0 and: t on e1 with -t on e2 ("pair"), or t on two or four e_i."""
+    es = [Z] * r
+    if family == "pair":
+        es[0], es[1] = t, -t
+    else:
+        for i in range(2 if family == "half2" else 4):
+            es[i] = t
+    return make_period([Z] + es)
+
+
+HALF_POINTS = [TorsionPoint.parse(t) for t in ("1/2,0", "0,1/2", "1/2,1/2")]
+# For a half-point t the pair (t, -t) is the half2 period, so pairs use others.
+PAIR_POINTS = [TorsionPoint.parse(t) for t in ("1/3,2/3", "1/4,0", "0,1/5", "1/6,5/6")]
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_canonicalize_matches_oracle_on_tied_periods(r):
+    M = make_marked_lattice(r)
+    periods = [make_period([Z] * (r + 1))]
+    periods += [_tied_period(r, "pair", t) for t in PAIR_POINTS]
+    periods += [_tied_period(r, "half2", t) for t in HALF_POINTS]
+    if r >= 4:
+        periods += [_tied_period(r, "half4", t) for t in HALF_POINTS]
+    for period in periods:
+        _assert_exact(weyl_canonicalize(period, M), bfs_canonicalize(period, M))
+
+
+def _generic_period(rng: random.Random, r: int, n: int) -> PeriodHomomorphism:
+    """n-torsion images of h, e_1..e_{r-1}, pi(e_r) solved from the kappa
+    relation, redrawn until no root is killed (so the orbit is all of W)."""
+    roots = closed_form_positive_roots(r)
+    while True:
+        pts = [
+            TorsionPoint(Fraction(rng.randrange(n), n), Fraction(rng.randrange(n), n))
+            for _ in range(r)
+        ]
+        last = 3 * pts[0]
+        for p in pts[1:]:
+            last = last - p
+        period = make_period(pts + [last])
+        if not any(evaluate(period, a).is_zero() for a in roots):
+            return period
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (3, 5), (4, 4), (4, 5), (5, 5)])
+def test_canonicalize_matches_oracle_on_generic_periods(r, n):
+    M = make_marked_lattice(r)
+    period = _generic_period(random.Random(f"generic/{r}/{n}"), r, n)
+    _assert_exact(weyl_canonicalize(period, M), bfs_canonicalize(period, M))
+
+
+@pytest.mark.parametrize("r,draws", [(3, 10), (4, 6), (5, 2), (6, 1)])
+def test_canonicalize_matches_oracle_on_random_periods(r, draws):
+    # Draws whose orbit exceeds 5,000 are skipped, since the oracle BFS takes
+    # seconds on those; test_canonicalize_cap_boundary_matches_oracle
+    # compares the cap path itself.
+    M = make_marked_lattice(r)
+    rng = random.Random(40 + r)
+    compared = 0
+    while compared < draws:
+        period = _random_period(rng, r)
+        try:
+            got = weyl_canonicalize(period, M, cap=5_000)
+        except OrbitCapError as exc:
+            assert (exc.cap, exc.partial_count) == (5_000, 5_000)
+            continue
+        _assert_exact(got, bfs_canonicalize(period, M, cap=5_000))
+        compared += 1
+
+
+def _cap_outcome(fn, period, M, cap):
+    try:
+        return fn(period, M, cap=cap)
+    except OrbitCapError as exc:
+        return ("cap", exc.cap, exc.partial_count)
+
+
+def test_canonicalize_cap_boundary_matches_oracle():
+    M = make_marked_lattice(6)
+    period = make_period([Z, HALF, Z, Z, Z, Z, HALF])  # half-points on e1 and e6
+    size = 36
+    for cap in range(-3, size + 3):
+        want = _cap_outcome(bfs_canonicalize, period, M, cap)
+        assert _cap_outcome(weyl_canonicalize, period, M, cap) == want
+        # the oracle finds exactly `size` tuples: it raises below that cap only
+        assert (want[0] == "cap") == (cap < size)
+
+
+def test_canonicalize_generic_r6_is_weyl_invariant():
+    M = make_marked_lattice(6)
+    rng = random.Random(61)
+    period = _generic_period(rng, 6, 5)
+    canonical = weyl_canonicalize(period, M)
+    for _ in range(3):
+        moved = _precompose(period, random_word(rng, 6, 12), M)
+        assert weyl_canonicalize(moved, M) == canonical
+    assert canonical <= restrict_to_coroots(period, M)
+
+
+def test_canonicalize_generic_r8_hits_cap():
+    M = make_marked_lattice(8)
+    period = _generic_period(random.Random(81), 8, 7)
+    with pytest.raises(OrbitCapError) as info:
+        weyl_canonicalize(period, M, cap=10_000)
+    assert (info.value.cap, info.value.partial_count) == (10_000, 10_000)

@@ -1,11 +1,13 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from delpezzo import (
     DomainError,
     InternalError,
+    LatticeVector,
     OrbitCapError,
     apply_word,
     connect_markings,
@@ -341,6 +343,29 @@ def test_connect_markings_rejects_bad_input():
         connect_markings(flip, M)
     with pytest.raises(DomainError):
         connect_markings([[1]], M)
+
+
+def test_weyl_kernel_rejects_non_integer_coefficients():
+    M = make_marked_lattice(6)
+    half = LatticeVector(1.5, (0,) * 6)
+    with pytest.raises(DomainError):
+        orbit(half, M)
+    exact_but_not_int = LatticeVector(1, (0,) * 5 + (Fraction(1),))
+    for call in (
+        lambda v: orbit(v, M),
+        lambda v: orbit_of_set([M.h, v], M),
+        lambda v: apply_word((1,), v, M),
+        lambda v: is_dominant(v, M),
+        lambda v: dominant_representative(v, M),
+    ):
+        with pytest.raises(DomainError):
+            call(exact_but_not_int)
+    ident = [list(row) for row in word_matrix((), M)]
+    for bad in (1.0, Fraction(1)):
+        entries = [row[:] for row in ident]
+        entries[3][3] = bad
+        with pytest.raises(DomainError):
+            connect_markings(entries, M)
 
 
 def test_format_word_round_trip_random():
