@@ -9,12 +9,13 @@ into the pieces that collide in the degeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError
 from .geometry import CurveClass, lines
-from .lattice import LatticeVector, MarkedLattice, inner
-from .roots import DynkinType, Root, as_root_vector, dynkin_type
+from .lattice import LatticeVector, MarkedLattice, closure, inner
+from .roots import DynkinType, Root, dynkin_type
+from .weyl import _coeffs, _reflect_in, _vector
 
 
 @dataclass(frozen=True)
@@ -60,35 +61,30 @@ def orbit_decomposition(
     Orbits are listed by lexicographically least representative; a size-2
     orbit whose members differ by a configuration curve is labelled
     "extension pair" (the two classes that collide in the degeneration).
+    Each orbit is a breadth-first closure (lattice.closure) on coefficient
+    tuples (a, c_1, ..., c_r); weights must be integral of rank r, else
+    DomainError.
     """
-    gens = [c.vector for c in config.curves]
-    gen_set = {g for v in gens for g in (v, -v)}
-    seen: set[LatticeVector] = set()
+    gens = [_coeffs(c.vector, lattice) for c in config.curves]
+    gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for v in {_coeffs(w, lattice) for w in weights}:
+        if v not in seen:
+            orb = closure(v, lambda u: (_reflect_in(u, g) for g in gens))
+            seen |= orb
+            orbits.append(sorted(orb))
     parts = []
-    for v in sorted(set(weights)):
-        if v in seen:
-            continue
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in gens:
-                    w = u + inner(u, g) * g
-                    if w not in orb:
-                        orb.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= orb
-        members = tuple(sorted(orb))
-        if len(members) == 1:
+    for orb in sorted(orbits):  # disjoint orbits: ordered by least member
+        if len(orb) == 1:
             label = "singleton"
-        elif len(members) == 2 and members[1] - members[0] in gen_set:
+        elif len(orb) == 2 and tuple(y - x for x, y in zip(*orb)) in gen_set:
             label = "extension pair"
         else:
             label = "orbit"
+        members = tuple(map(_vector, orb))
         parts.append(SubOrbit(members[0], members, label))
-    return sorted(parts, key=lambda p: p.representative)
+    return parts
 
 
 def incident_lines(

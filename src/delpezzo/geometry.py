@@ -18,7 +18,6 @@ from .lattice import (
     degree,
     inner,
     vectors_of_type,
-    zero_vector,
 )
 from .roots import Root
 
@@ -76,21 +75,24 @@ def _sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
 def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
     """Unordered line triples summing to kappa (r = 6 only).
 
-    Any two lines of such a triple meet once, so the triples are found by
-    completing each meeting pair; the completion kappa - L1 - L2 is
-    automatically a line.
+    The triples are found by completing each pair of lines; the completion
+    kappa - L1 - L2 is a line exactly when L1 and L2 meet once.
     """
     if lattice.r != 6:
         raise DomainError("coplanar triples require r = 6")
-    vecs = _line_vectors(lattice)
+    return _triples_summing_to(_line_vectors(lattice), lattice.kappa)
+
+
+def _triples_summing_to(
+    vecs: list[LatticeVector], total: LatticeVector
+) -> list[frozenset[LatticeVector]]:
+    """Unordered triples of distinct members of `vecs` summing to `total`."""
     vset = set(vecs)
     triples = set()
     for i, a in enumerate(vecs):
         for b in vecs[i + 1 :]:
-            if inner(a, b) != 1:
-                continue
-            c = lattice.kappa - a - b
-            if c in vset:
+            c = total - a - b
+            if c != a and c != b and c in vset:
                 triples.add(frozenset((a, b, c)))
     return _sorted_sets(triples)
 

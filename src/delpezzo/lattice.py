@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from typing import Callable, Iterable
 
-from .errors import DomainError, VectorParseError
+from .errors import DomainError, OrbitCapError, VectorParseError
 
 MIN_RANK = 3
 MAX_RANK = 8
@@ -99,6 +100,29 @@ def inner(a: LatticeVector, b: LatticeVector) -> int:
     """Intersection product for the diagonal form (1, -1, ..., -1)."""
     _check_same_rank(a, b)
     return a.coeff_h * b.coeff_h - sum(x * y for x, y in zip(a.coeff_e, b.coeff_e))
+
+
+def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> set:
+    """Every element reachable from `start` under `images`, by breadth-first search.
+
+    `images(x)` gives the neighbours of x.  With a cap, OrbitCapError(cap,
+    len(seen)) is raised when a new element turns up while `cap` elements
+    are already known, so an orbit of size n > max(cap, 1) reports
+    max(cap, 1) found whatever order the search takes.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise OrbitCapError(cap, len(seen))
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 # --- text syntax ------------------------------------------------------------
@@ -288,6 +312,26 @@ def discriminant_data(lattice: MarkedLattice) -> DiscriminantData:
 # --- lifting characters and weights -----------------------------------------
 
 
+def _dual_combination(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVector:
+    """sum_i psi_i * w_i over the dual basis lifts."""
+    r = lattice.r
+    if len(psi) != r:
+        raise DomainError(f"psi must have {r} entries, got {len(psi)}")
+    v = zero_vector(r)
+    for value, w in zip(psi, dual_basis_lifts(lattice)):
+        v = v + value * w
+    return v
+
+
+def shift_to_degree(v: LatticeVector, deg: int, lattice: MarkedLattice) -> LatticeVector | None:
+    """The vector v + m*kappa of degree `deg`, or None when deg is not
+    congruent to the degree of v mod 9-r (kappa has degree 9-r)."""
+    diff = deg - degree(v, lattice)
+    if diff % lattice.d != 0:
+        return None
+    return v + (diff // lattice.d) * lattice.kappa
+
+
 def lift_character(a: int, psi: tuple[int, ...], lattice: MarkedLattice):
     """Find lam with <lam, kappa> = a and <lam, alpha_i> = psi[i-1], or None.
 
@@ -295,28 +339,13 @@ def lift_character(a: int, psi: tuple[int, ...], lattice: MarkedLattice):
     sum_i psi_i * w_i; the spread of degrees over all lifts of the coroot
     data is exactly one residue class mod 9-r.
     """
-    r, d = lattice.r, lattice.d
-    if len(psi) != r:
-        raise DomainError(f"psi must have {r} entries, got {len(psi)}")
-    v = zero_vector(r)
-    for value, w in zip(psi, dual_basis_lifts(lattice)):
-        v = v + value * w
-    diff = a - degree(v, lattice)
-    if diff % d != 0:
-        return None
-    return v + (diff // d) * lattice.kappa
+    return shift_to_degree(_dual_combination(psi, lattice), a, lattice)
 
 
 def lift_weight(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVector:
     """The lift of a coroot-value tuple, normalized to 0 <= degree < 9-r."""
-    r, d = lattice.r, lattice.d
-    if len(psi) != r:
-        raise DomainError(f"psi must have {r} entries, got {len(psi)}")
-    v = zero_vector(r)
-    for value, w in zip(psi, dual_basis_lifts(lattice)):
-        v = v + value * w
-    deg = degree(v, lattice)
-    return v + ((deg % d - deg) // d) * lattice.kappa
+    v = _dual_combination(psi, lattice)
+    return shift_to_degree(v, degree(v, lattice) % lattice.d, lattice)
 
 
 def euler_char(v: LatticeVector, lattice: MarkedLattice) -> int:

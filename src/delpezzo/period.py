@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import ConstraintError, DomainError, OrbitCapError
-from .lattice import LatticeVector, MarkedLattice, anticanonical, inner
+from .errors import ConstraintError, DomainError
+from .lattice import LatticeVector, MarkedLattice, anticanonical, closure, inner
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -37,8 +37,10 @@ class TorsionPoint:
             raise DomainError(
                 f"torsion point coordinates must be exact, got floats in ({self.x!r}, {self.y!r})"
             )
-        object.__setattr__(self, "x", Fraction(self.x) % 1)
-        object.__setattr__(self, "y", Fraction(self.y) % 1)
+        for name in ("x", "y"):
+            c = getattr(self, name)
+            if not (isinstance(c, Fraction) and 0 <= c.numerator < c.denominator):
+                object.__setattr__(self, name, Fraction(c) % 1)
 
     @classmethod
     def zero(cls) -> "TorsionPoint":
@@ -165,9 +167,9 @@ def weyl_canonicalize(
     Precomposing with the reflection s_j sends the value tuple v to
     v_i + <alpha_i, alpha_j> v_j: it negates v_j, adds v_j to the Dynkin
     neighbours of j and leaves the rest alone, so it fixes tuples with
-    v_j = 0.  Breadth-first closure under these maps on tuples of packed
-    residues, capped at `cap` tuples; only the least tuple is turned back
-    into TorsionPoints.
+    v_j = 0.  Breadth-first closure (lattice.closure) under these maps on
+    tuples of packed residues, capped at `cap` tuples; only the least tuple
+    is turned back into TorsionPoints.
     """
     n, start = _coroot_residues(period, lattice)
     nn = n * n
@@ -176,33 +178,22 @@ def weyl_canonicalize(
         (j, [i for i, b in enumerate(coroots) if inner(b, a) == 1])
         for j, a in enumerate(coroots)
     ]
-    seen = {start}
-    frontier = [start]
-    best = start
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            for j, neighbours in moves:
-                v = tup[j]
-                if not v:
-                    continue
-                vx, vy = divmod(v, n)
-                image = list(tup)
-                image[j] = -vx % n * n + -vy % n
-                for i in neighbours:
-                    w = image[i] + v
-                    if w % n < vy:  # y wrapped past N and carried into x
-                        w -= n
-                    if w >= nn:
-                        w -= nn
-                    image[i] = w
-                image = tuple(image)
-                if image not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapError(cap, len(seen))
-                    seen.add(image)
-                    nxt.append(image)
-                    if image < best:
-                        best = image
-        frontier = nxt
-    return tuple(_point(v, n) for v in best)
+
+    def images(tup):
+        for j, neighbours in moves:
+            v = tup[j]
+            if not v:
+                continue
+            vx, vy = divmod(v, n)
+            image = list(tup)
+            image[j] = -vx % n * n + -vy % n
+            for i in neighbours:
+                w = image[i] + v
+                if w % n < vy:  # y wrapped past N and carried into x
+                    w -= n
+                if w >= nn:
+                    w -= nn
+                image[i] = w
+            yield tuple(image)
+
+    return tuple(_point(v, n) for v in min(closure(start, images, cap)))

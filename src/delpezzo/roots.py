@@ -18,6 +18,7 @@ from .lattice import (
     MarkedLattice,
     basis_e,
     basis_h,
+    closure,
     degree,
     dual_basis_lifts,
     inner,
@@ -169,23 +170,10 @@ def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
     for start in range(n):
         if start in seen:
             continue
-        comp = _connected_component(start, adj)
+        comp = closure(start, adj.__getitem__)
         seen |= comp
         components.append(_classify_component(sorted(comp), adj, vecs))
     return DynkinType(tuple(sorted(components)))
-
-
-def _connected_component(start: int, adj: dict[int, set[int]]) -> set[int]:
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v] - comp:
-                comp.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return comp
 
 
 def _classify_component(nodes, adj, vecs) -> tuple[str, int]:

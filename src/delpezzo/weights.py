@@ -11,15 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalError
+from .geometry import _triples_summing_to
 from .lattice import (
     LatticeVector,
     MarkedLattice,
     degree,
     dual_basis_lifts,
     inner,
+    shift_to_degree,
     zero_vector,
 )
-from .roots import Root, enumerate_roots, highest_root
+from .roots import enumerate_roots, highest_root
 from .weyl import Word, apply_word, dominant_representative, is_dominant, orbit
 
 
@@ -76,11 +78,6 @@ class WeightSystem:
     highest: LatticeVector
 
 
-def _normalize_mod_kappa(v: LatticeVector, lattice: MarkedLattice) -> LatticeVector:
-    deg = degree(v, lattice)
-    return v + ((deg % lattice.d - deg) // lattice.d) * lattice.kappa
-
-
 def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
     """Nonzero weights = the roots, zero weight with multiplicity r.
 
@@ -93,9 +90,7 @@ def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
     entries = [(root.vector, 1) for root in roots]
     entries.append((zero_vector(lattice.r), lattice.r))
     entries.sort()
-    top = _normalize_mod_kappa(
-        lattice.kappa - highest_root(lattice).vector, lattice
-    )
+    top = shift_to_degree(lattice.kappa - highest_root(lattice).vector, 0, lattice)
     return WeightSystem(tuple(entries), len(roots) + lattice.r, top)
 
 
@@ -142,15 +137,7 @@ def cubic_form_support(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]
     """
     if lattice.r != 6:
         raise DomainError("cubic form support requires r = 6")
-    weights = orbit(dual_basis_lifts(lattice)[4], lattice)
-    wset = set(weights)
-    triples = set()
-    for i, a in enumerate(weights):
-        for b in weights[i + 1 :]:
-            c = lattice.kappa - a - b
-            if c != a and c != b and c in wset:
-                triples.add(frozenset((a, b, c)))
-    return sorted(triples, key=lambda s: tuple(sorted(s)))
+    return _triples_summing_to(orbit(dual_basis_lifts(lattice)[4], lattice), lattice.kappa)
 
 
 def central_character(

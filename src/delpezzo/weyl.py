@@ -13,7 +13,7 @@ all use this one kernel; LatticeVector appears only at the API boundary.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -21,8 +21,10 @@ from .errors import DomainError, InternalError, OrbitCapError
 from .lattice import (
     LatticeVector,
     MarkedLattice,
+    _check_same_rank,
     basis_e,
     basis_h,
+    closure,
     dual_basis_lifts,
     inner,
 )
@@ -57,7 +59,8 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
     preserves the form and fixes kappa.
     """
     a = as_root_vector(alpha)
-    return v + inner(v, a) * a
+    _check_same_rank(v, a)
+    return _vector(_reflect_in(v.coeffs(), a.coeffs()))
 
 
 # --- the coefficient-tuple kernel ---------------------------------------------
@@ -95,6 +98,12 @@ def _reflect(t: Coeffs, i: int) -> Coeffs:
         return t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
     m = t[0] + t[1] + t[2] + t[3]
     return (t[0] + m, t[1] - m, t[2] - m, t[3] - m) + t[4:]
+
+
+def _reflect_in(t: Coeffs, g: Coeffs) -> Coeffs:
+    """Reflection t + <t, g> g in a root g."""
+    m = t[0] * g[0] - sum(x * y for x, y in zip(t[1:], g[1:]))
+    return tuple(x + m * y for x, y in zip(t, g)) if m else t
 
 
 def _descend(t: Coeffs) -> tuple[Coeffs, list[int]]:
@@ -238,26 +247,17 @@ def orbit_of_set(
 
     Elements are kept as sorted tuples, so the action is on k-element
     multisets; used for transitivity checks on line k-tuples.
-    Breadth-first closure under the simple reflections; raises
+    Breadth-first closure (lattice.closure) of the sorted tuple of
+    coefficient tuples under the simple reflections; raises
     OrbitCapError once more than `cap` elements have been found.
     """
     start = tuple(_coeffs(u, lattice) for u in sorted(vectors))
     gens = range(1, lattice.r + 1)
     # The sets share few distinct vectors, so each is reflected and wrapped once.
     step = lru_cache(maxsize=None)(_reflect)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            for i in gens:
-                image = tuple(sorted([step(u, i) for u in tup]))
-                if image not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapError(cap, len(seen))
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    seen = closure(
+        start, lambda tup: (tuple(sorted([step(u, i) for u in tup])) for i in gens), cap
+    )
     wrap = lru_cache(maxsize=None)(_vector)
     return [tuple(map(wrap, tup)) for tup in sorted(seen)]
 
@@ -285,12 +285,12 @@ def dominant_representative(
 def word_matrix(word: Iterable[int], lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
     """Matrix of a word in the basis (h, e_1, ..., e_r); column j is the
     image of the j-th basis vector."""
-    r = lattice.r
-    basis = [basis_h(r)] + [basis_e(r, i) for i in range(1, r + 1)]
-    images = [apply_word(word, b, lattice) for b in basis]
-    return tuple(
-        tuple(images[j].coeffs()[i] for j in range(r + 1)) for i in range(r + 1)
-    )
+    word = tuple(word)
+    for i in word:
+        _check_index(i, lattice)
+    n = lattice.r + 1
+    units = (tuple(int(i == j) for i in range(n)) for j in range(n))
+    return tuple(zip(*(reduce(_reflect, word, t) for t in units)))
 
 
 def connect_markings(
@@ -330,10 +330,6 @@ def connect_markings(
     if dom != regular:
         raise InternalError("isometry is not a Weyl element; kappa-fixing guarantee broken")
     word = tuple(reversed(descent))
-    for j, col in enumerate(columns):
-        t = tuple(int(i == j) for i in range(r + 1))
-        for i in word:
-            t = _reflect(t, i)
-        if t != col:
-            raise InternalError("word reconstruction failed to match the isometry")
+    if word_matrix(word, lattice) != tuple(map(tuple, matrix)):
+        raise InternalError("word reconstruction failed to match the isometry")
     return word

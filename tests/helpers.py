@@ -14,6 +14,7 @@ from delpezzo import (
     LatticeVector,
     MarkedLattice,
     OrbitCapError,
+    SubOrbit,
     basis_e,
     basis_h,
     inner,
@@ -166,3 +167,38 @@ def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):
                         best = image
         frontier = nxt
     return best
+
+
+def bfs_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[SubOrbit]:
+    """Sub-Weyl orbits of `weights` under the configuration reflections, by
+    breadth-first closure on LatticeVector arithmetic, listed by least
+    representative and labelled as in degeneration.orbit_decomposition.
+    Oracle for degeneration.orbit_decomposition."""
+    gens = [c.vector for c in config.curves]
+    gen_set = {g for v in gens for g in (v, -v)}
+    seen: set[LatticeVector] = set()
+    parts = []
+    for v in sorted(set(weights)):
+        if v in seen:
+            continue
+        orb = {v}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for g in gens:
+                    w = u + inner(u, g) * g
+                    if w not in orb:
+                        orb.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        seen |= orb
+        members = tuple(sorted(orb))
+        if len(members) == 1:
+            label = "singleton"
+        elif len(members) == 2 and members[1] - members[0] in gen_set:
+            label = "extension pair"
+        else:
+            label = "orbit"
+        parts.append(SubOrbit(members[0], members, label))
+    return sorted(parts, key=lambda p: p.representative)

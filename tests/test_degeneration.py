@@ -1,11 +1,15 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from delpezzo import (
     ConfigurationError,
+    DomainError,
     LatticeVector,
+    apply_word,
+    conics,
     degree,
     incident_lines,
     inner,
@@ -15,6 +19,7 @@ from delpezzo import (
     orbit_decomposition,
     positive_roots,
 )
+from helpers import bfs_orbit_decomposition, random_vector, random_word
 
 
 def _line_vectors(M):
@@ -150,3 +155,62 @@ def test_degeneration_closure_can_add_classes():
     assert len(parts) == 1
     assert set(parts[0].members) == {M.e(1), M.e(2)}
     assert parts[0].label == "extension pair"
+
+
+def _assert_matches_oracle(cfg, weights, M):
+    got = orbit_decomposition(cfg, weights, M)
+    want = bfs_orbit_decomposition(cfg, weights, M)
+    assert [(p.representative, p.members, p.label) for p in got] == [
+        (p.representative, p.members, p.label) for p in want
+    ]
+
+
+def _moved_configuration(M, nodes, word):
+    """The simple coroots at `nodes`, moved by a Weyl word."""
+    return make_configuration(
+        [apply_word(word, M.simple_coroots[i], M) for i in nodes], M
+    )
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_decomposition_matches_oracle_on_simple_subsets(r):
+    M = make_marked_lattice(r)
+    rng = random.Random(700 + r)
+    weight_sets = [_line_vectors(M), [c.vector for c in conics(M)]]
+    for k in range(r + 1):
+        for nodes in combinations(range(r), k):
+            cfg = _moved_configuration(M, nodes, random_word(rng, r))
+            for weights in weight_sets:
+                _assert_matches_oracle(cfg, weights, M)
+
+
+def test_decomposition_matches_oracle_at_r8():
+    M = make_marked_lattice(8)
+    rng = random.Random(808)
+    weight_sets = [_line_vectors(M), [c.vector for c in conics(M)]]
+    for nodes in [(0,), (0, 1, 7), (3, 4, 5, 6), tuple(range(8))]:
+        cfg = _moved_configuration(M, nodes, random_word(rng, 8))
+        for weights in weight_sets:
+            _assert_matches_oracle(cfg, weights, M)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_decomposition_matches_oracle_off_kappa_perp(r):
+    M = make_marked_lattice(r)
+    rng = random.Random(900 + r)
+    for _ in range(10):
+        # at most 4 curves keep the sub-Weyl orbits of random vectors small
+        nodes = rng.sample(range(r), rng.randint(1, 4))
+        cfg = _moved_configuration(M, nodes, random_word(rng, r))
+        weights = [random_vector(rng, r) for _ in range(8)]
+        weights = [v for v in weights if degree(v, M) != 0]
+        _assert_matches_oracle(cfg, weights, M)
+
+
+def test_decomposition_rejects_inexact_or_misranked_weights():
+    M = make_marked_lattice(6)
+    for curves in ([], [M.e(1) - M.e(2)]):
+        cfg = make_configuration(curves, M)
+        for bad in (LatticeVector(1.5, (0,) * 6), LatticeVector(1, (0,) * 5)):
+            with pytest.raises(DomainError):
+                orbit_decomposition(cfg, [M.e(1), bad], M)

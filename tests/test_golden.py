@@ -1,0 +1,76 @@
+"""Byte-exact CLI reports, recorded before the closures behind them were merged.
+
+Each case runs `cli.run` in process and compares its stdout byte for byte
+with tests/golden/<name>.out and its exit code with
+tests/golden/exit_codes.json.  The goldens pin report text, ordering,
+labels and exit codes while the code behind them is rewritten; they are
+data, not regenerated by the test.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from delpezzo.cli import ORBIT_CAP_ENV, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_CURVES = {
+    5: ["e1-e2,e2-e3,e4-e5"],
+    6: [
+        "e1-e2",
+        "e1-e2,e2-e3",
+        "e1-e2,h-e1-e2-e3",
+        "e1-e2,e3-e4,e5-e6",
+        "e1-e2,e2-e3,e3-e4,h-e1-e2-e3",
+        "e1-e2,e2-e3,e3-e4,e4-e5,e5-e6,h-e1-e2-e3",
+        "e1-e2,e1-e2",
+    ],
+    7: ["e1-e2", "e2-e3,e4-e5", "e1-e2,e2-e3,e3-e4,e4-e5,e5-e6,e6-e7,h-e1-e2-e3"],
+    8: [
+        "e1-e2",
+        "e1-e2,e2-e3,h-e4-e5-e6",
+        "e1-e2,e2-e3,e3-e4,e4-e5,e5-e6,e6-e7,e7-e8,h-e1-e2-e3",
+    ],
+}
+
+_TIED_PERIODS = [
+    ("6", "e1=1/2,0", "e6=1/2,0"),
+    ("6", "e1=1/5,2/5", "e2=4/5,3/5"),
+    ("7", "e2=1/2,1/2", "e5=1/2,1/2"),
+]
+
+CASES = (
+    [("degenerate", "--r", str(r), "--curves", c) for r, cs in _CURVES.items() for c in cs]
+    + [("triples", "--r", "6")]
+    + [("weights", "--r", str(r), "--adjoint") for r in range(4, 9)]
+    + [
+        ("weights", "--r", r, "--fundamental", i, "--dual")
+        for r, i in (("3", "1"), ("6", "1"), ("6", "6"), ("7", "7"), ("8", "4"))
+    ]
+    + [
+        ("period", "--r", r, *(x for a in assigns for x in ("--assign", a)), "--canonical")
+        for r, *assigns in _TIED_PERIODS
+    ]
+)
+
+FORMATS = ("table", "json")
+
+
+def golden_name(argv, fmt: str) -> str:
+    """File stem for one case: the argv words without leading dashes, joined
+    by '_', with '/' spelled 'o' and ',' spelled '+'."""
+    words = [w.lstrip("-") for w in (*argv, fmt)]
+    return "_".join(words).replace("/", "o").replace(",", "+")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_matches_golden(argv, fmt, capsys, monkeypatch):
+    monkeypatch.delenv(ORBIT_CAP_ENV, raising=False)
+    name = golden_name(argv, fmt)
+    code = run([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

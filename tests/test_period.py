@@ -55,6 +55,22 @@ def test_torsion_point_rejects_floats():
     assert TorsionPoint(1, "1/3") == TorsionPoint(Fraction(0), Fraction(1, 3))
 
 
+def test_torsion_point_normalizes_mod_one():
+    cases = [
+        (Fraction(5, 4), Fraction(1, 4)),
+        (Fraction(-1, 3), Fraction(2, 3)),
+        (Fraction(-7, 2), Fraction(1, 2)),
+        (3, Fraction(0)),
+        (-2, Fraction(0)),
+        (Fraction(1), Fraction(0)),
+        (Fraction(2, 5), Fraction(2, 5)),
+    ]
+    for given, want in cases:
+        p = TorsionPoint(given, given)
+        assert (p.x, p.y) == (want, want)
+        assert type(p.x) is Fraction and type(p.y) is Fraction
+
+
 def test_torsion_point_parse():
     assert TorsionPoint.parse("1/2,0") == HALF
     assert TorsionPoint.parse("5/2,-1/4") == TorsionPoint(
