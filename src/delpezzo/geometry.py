@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, InternalError
@@ -20,6 +21,7 @@ from .lattice import (
     vectors_of_type,
 )
 from .roots import Root
+from .weyl import _coeffs, _vector
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +70,12 @@ def _line_vectors(lattice: MarkedLattice) -> list[LatticeVector]:
     return [c.vector for c in lines(lattice)]
 
 
+def _dual(t: tuple[int, ...]) -> tuple[int, ...]:
+    """(a, -c_1, ..., -c_r) for t = (a, c_1, ..., c_r), so that the
+    intersection product <t, u> is sum(map(mul, _dual(t), u))."""
+    return (t[0], *(-c for c in t[1:]))
+
+
 def _sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     return sorted(sets, key=lambda s: tuple(sorted(s)))
 
@@ -98,25 +106,45 @@ def _triples_summing_to(
 
 
 def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[LatticeVector]]:
-    """All k-element sets of pairwise-disjoint line classes."""
+    """All k-element sets of pairwise-disjoint line classes, in sorted order.
+
+    The sets are the k-cliques of the disjointness graph on the lines,
+    found by backtracking on int bitmasks (after Bron & Kerbosch, 1973):
+    bit j of later[i] is set when j > i and lines i and j are disjoint, and
+    each partial clique is extended by its lowest candidate bit first.  The
+    lines are listed in increasing order, so the cliques come out as
+    index-ascending tuples in lexicographic order, which is the order of
+    the sets' sorted member tuples; no sort is needed.
+    """
     if not 1 <= k <= lattice.r:
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
     vecs = _line_vectors(lattice)
+    ts = [v.coeffs() for v in vecs]
+    duals = [_dual(t) for t in ts]
+    later = [
+        sum(1 << j for j in range(i + 1, len(ts)) if not sum(map(mul, duals[i], ts[j])))
+        for i in range(len(ts))
+    ]
     out: list[frozenset[LatticeVector]] = []
+    chosen: list[LatticeVector] = []
 
-    def extend(start: int, chosen: list[LatticeVector]) -> None:
-        if len(chosen) == k:
-            out.append(frozenset(chosen))
+    def extend(cand: int) -> None:
+        need = k - len(chosen)
+        if cand.bit_count() < need:
             return
-        for idx in range(start, len(vecs)):
-            cand = vecs[idx]
-            if all(inner(cand, c) == 0 for c in chosen):
-                chosen.append(cand)
-                extend(idx + 1, chosen)
-                chosen.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            if need == 1:
+                out.append(frozenset((*chosen, vecs[i])))
+                continue
+            chosen.append(vecs[i])
+            extend(cand & later[i])
+            chosen.pop()
 
-    extend(0, [])
-    return _sorted_sets(out)
+    extend((1 << len(vecs)) - 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,20 +166,23 @@ def blowdown_basis(
     eps = tuple(sorted(c.vector if isinstance(c, CurveClass) else c for c in classes))
     if len(eps) != lattice.r:
         raise DomainError(f"need exactly r = {lattice.r} classes, got {len(eps)}")
-    for i, a in enumerate(eps):
-        if inner(a, a) != -1 or degree(a, lattice) != 1:
+    ts = [_coeffs(a, lattice) for a in eps]
+    kappa = lattice.kappa.coeffs()
+    for i, (a, t) in enumerate(zip(eps, ts)):
+        d = _dual(t)
+        if sum(map(mul, d, t)) != -1 or sum(map(mul, d, kappa)) != 1:
             raise DomainError(f"{a} is not a line class")
-        for b in eps[i + 1 :]:
-            if inner(a, b) != 0:
+        for b, u in zip(eps[i + 1 :], ts[i + 1 :]):
+            if sum(map(mul, d, u)):
                 raise DomainError(f"lines {a} and {b} are not disjoint")
-    total = lattice.kappa
-    for a in eps:
-        total = total + a
-    if any(c % 3 != 0 for c in total.coeffs()):
+    total = [sum(col) for col in zip(kappa, *ts)]
+    if any(c % 3 != 0 for c in total):
         raise DomainError("gamma = (kappa + sum)/3 is not integral for these lines")
-    gamma = LatticeVector(total.coeff_h // 3, tuple(c // 3 for c in total.coeff_e))
-    assert inner(gamma, gamma) == 1
-    assert all(inner(gamma, a) == 0 for a in eps)
+    g = tuple(c // 3 for c in total)
+    gd = _dual(g)
+    assert sum(map(mul, gd, g)) == 1
+    assert not any(sum(map(mul, gd, t)) for t in ts)
+    gamma = _vector(g)
     return BlowdownBasis(gamma, eps)
 
 

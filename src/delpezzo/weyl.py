@@ -60,7 +60,9 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
     """
     a = as_root_vector(alpha)
     _check_same_rank(v, a)
-    return _vector(_reflect_in(v.coeffs(), a.coeffs()))
+    t, g = v.coeffs(), a.coeffs()
+    _check_ints((*t, *g), "vector coefficients")
+    return _vector(_reflect_in(t, g))
 
 
 # --- the coefficient-tuple kernel ---------------------------------------------

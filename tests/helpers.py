@@ -18,6 +18,7 @@ from delpezzo import (
     basis_e,
     basis_h,
     inner,
+    lines,
     restrict_to_coroots,
     zero_vector,
 )
@@ -138,6 +139,28 @@ def bfs_orbit_of_set(vectors, lattice: MarkedLattice) -> list[tuple[LatticeVecto
                     nxt.append(image)
         frontier = nxt
     return sorted(seen)
+
+
+def backtrack_disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset]:
+    """All k-element sets of pairwise-disjoint lines, by plain backtracking on
+    LatticeVector arithmetic, sorted by their sorted member tuples.  Oracle
+    for geometry.disjoint_line_sets."""
+    vecs = [c.vector for c in lines(lattice)]
+    out: list[frozenset] = []
+
+    def extend(start: int, chosen: list[LatticeVector]) -> None:
+        if len(chosen) == k:
+            out.append(frozenset(chosen))
+            return
+        for idx in range(start, len(vecs)):
+            cand = vecs[idx]
+            if all(inner(cand, c) == 0 for c in chosen):
+                chosen.append(cand)
+                extend(idx + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
 def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -25,7 +26,7 @@ from delpezzo import (
     orbit,
     root_from_six,
 )
-from helpers import LINE_COUNTS, esum, random_word
+from helpers import LINE_COUNTS, backtrack_disjoint_line_sets, esum, random_word
 
 RANKS = range(3, 9)
 
@@ -114,6 +115,25 @@ def test_disjoint_line_sets():
         disjoint_line_sets(M, 0)
     with pytest.raises(DomainError):
         disjoint_line_sets(M, 7)
+
+
+@pytest.mark.parametrize(
+    "r,k", [(r, k) for r in range(3, 8) for k in range(1, r + 1)] + [(8, 1), (8, 2), (8, 3)]
+)
+def test_disjoint_line_sets_match_backtracking(r, k):
+    M = make_marked_lattice(r)
+    assert disjoint_line_sets(M, k) == backtrack_disjoint_line_sets(M, k)
+
+
+@pytest.mark.parametrize("r,weyl_order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])
+def test_blowdown_sets_count_closed_form(r, weyl_order):
+    """W(E_r) acts simply transitively on ordered blowdown bases, so there
+    are |W(E_r)|/r! sets of r disjoint lines."""
+    M = make_marked_lattice(r)
+    sets = disjoint_line_sets(M, r)
+    assert len(sets) == weyl_order // factorial(r)
+    assert len(set(sets)) == len(sets)
+    assert frozenset(M.e(i) for i in range(1, r + 1)) in sets
 
 
 @pytest.mark.parametrize("r", RANKS)

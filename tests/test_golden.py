@@ -44,6 +44,12 @@ _TIED_PERIODS = [
 CASES = (
     [("degenerate", "--r", str(r), "--curves", c) for r, cs in _CURVES.items() for c in cs]
     + [("triples", "--r", "6")]
+    + [
+        ("sixes", "--r", "6"),
+        ("sixes", "--r", "6", "--double"),
+        ("sixes", "--r", "5"),
+        ("sixes", "--r", "7", "--double"),
+    ]
     + [("weights", "--r", str(r), "--adjoint") for r in range(4, 9)]
     + [
         ("weights", "--r", r, "--fundamental", i, "--dual")

@@ -6,6 +6,7 @@ import pytest
 from delpezzo import (
     ConstraintError,
     DomainError,
+    LatticeVector,
     OrbitCapError,
     PeriodHomomorphism,
     TorsionPoint,
@@ -53,6 +54,13 @@ def test_torsion_point_rejects_floats():
         with pytest.raises(DomainError):
             TorsionPoint(x, y)
     assert TorsionPoint(1, "1/3") == TorsionPoint(Fraction(0), Fraction(1, 3))
+
+
+def test_evaluate_rejects_non_integer_vectors():
+    period = make_period([TorsionPoint.zero()] * 7)
+    for bad in (LatticeVector(1.5, (0,) * 6), LatticeVector(1, (Fraction(1),) + (0,) * 5)):
+        with pytest.raises(DomainError):
+            evaluate(period, bad)
 
 
 def test_torsion_point_normalizes_mod_one():

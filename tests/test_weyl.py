@@ -350,6 +350,8 @@ def test_weyl_kernel_rejects_non_integer_coefficients():
     half = LatticeVector(1.5, (0,) * 6)
     with pytest.raises(DomainError):
         orbit(half, M)
+    with pytest.raises(DomainError):
+        reflect(M.simple_coroots[5], half)
     exact_but_not_int = LatticeVector(1, (0,) * 5 + (Fraction(1),))
     for call in (
         lambda v: orbit(v, M),
@@ -357,6 +359,7 @@ def test_weyl_kernel_rejects_non_integer_coefficients():
         lambda v: apply_word((1,), v, M),
         lambda v: is_dominant(v, M),
         lambda v: dominant_representative(v, M),
+        lambda v: reflect(M.simple_coroots[0], v),
     ):
         with pytest.raises(DomainError):
             call(exact_but_not_int)
