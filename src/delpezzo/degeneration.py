@@ -13,9 +13,9 @@ from typing import Iterable
 
 from .errors import ConfigurationError
 from .geometry import CurveClass, lines
-from .lattice import LatticeVector, MarkedLattice, closure, inner
+from .lattice import LatticeVector, MarkedLattice, _coeffs, _vector, _vector_of, closure, inner
 from .roots import DynkinType, Root, dynkin_type
-from .weyl import _coeffs, _reflect_in, _vector
+from .weyl import _reflect_in
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ def make_configuration(
     """Validate a curve list into a configuration; errors name the offender."""
     vecs = []
     for x in curves:
-        v = x.vector if isinstance(x, Root) else x
+        v = _vector_of(x)
         if v.rank != lattice.r:
             raise ConfigurationError(f"{v} has rank {v.rank}, lattice has r = {lattice.r}")
         vecs.append(v)
@@ -62,8 +62,7 @@ def orbit_decomposition(
     orbit whose members differ by a configuration curve is labelled
     "extension pair" (the two classes that collide in the degeneration).
     Each orbit is a breadth-first closure (lattice.closure) on coefficient
-    tuples (a, c_1, ..., c_r); weights must be integral of rank r, else
-    DomainError.
+    tuples (a, c_1, ..., c_r); weights must have rank r, else DomainError.
     """
     gens = [_coeffs(c.vector, lattice) for c in config.curves]
     gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}

@@ -16,12 +16,14 @@ from .errors import DomainError, InternalError
 from .lattice import (
     LatticeVector,
     MarkedLattice,
+    _coeffs,
+    _vector,
+    _vector_of,
     degree,
     inner,
     vectors_of_type,
 )
 from .roots import Root
-from .weyl import _coeffs, _vector
 
 
 @dataclass(frozen=True, order=True)
@@ -163,7 +165,7 @@ def blowdown_basis(
     gamma = (kappa + sum of the lines)/3; integrality of that vector is
     exactly the condition for the lines to contract to a plane marking.
     """
-    eps = tuple(sorted(c.vector if isinstance(c, CurveClass) else c for c in classes))
+    eps = tuple(sorted(map(_vector_of, classes)))
     if len(eps) != lattice.r:
         raise DomainError(f"need exactly r = {lattice.r} classes, got {len(eps)}")
     ts = [_coeffs(a, lattice) for a in eps]

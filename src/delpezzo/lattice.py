@@ -6,6 +6,10 @@ kappa = 3h - e_1 - ... - e_r together with the simple coroots of its
 orthogonal complement; every other module computes against this data.
 All arithmetic is arbitrary-precision integer/rational, never floating
 point, so invariants hold exactly.
+
+Exactness is checked once, in the LatticeVector constructor, which
+raises DomainError for any coefficient that is not an int; results that
+are ints by construction are wrapped by the unchecked _vector.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import add, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, OrbitCapError, VectorParseError
@@ -33,6 +38,11 @@ class LatticeVector:
     coeff_h: int
     coeff_e: tuple[int, ...]
 
+    def __post_init__(self):
+        for c in (self.coeff_h, *self.coeff_e):
+            if not isinstance(c, int):
+                raise DomainError(f"vector coefficients must be integers, got {c!r}")
+
     @property
     def rank(self) -> int:
         return len(self.coeff_e)
@@ -42,25 +52,19 @@ class LatticeVector:
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _check_same_rank(self, other)
-        return LatticeVector(
-            self.coeff_h + other.coeff_h,
-            tuple(a + b for a, b in zip(self.coeff_e, other.coeff_e)),
-        )
+        return _vector(tuple(map(add, self.coeffs(), other.coeffs())))
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         _check_same_rank(self, other)
-        return LatticeVector(
-            self.coeff_h - other.coeff_h,
-            tuple(a - b for a, b in zip(self.coeff_e, other.coeff_e)),
-        )
+        return _vector(tuple(map(sub, self.coeffs(), other.coeffs())))
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.coeff_h, tuple(-c for c in self.coeff_e))
+        return _vector(tuple(-c for c in self.coeffs()))
 
     def __mul__(self, n: int) -> "LatticeVector":
         if not isinstance(n, int):
             return NotImplemented
-        return LatticeVector(n * self.coeff_h, tuple(n * c for c in self.coeff_e))
+        return _vector(tuple(n * c for c in self.coeffs()))
 
     __rmul__ = __mul__
 
@@ -69,6 +73,26 @@ class LatticeVector:
 
     def __str__(self) -> str:
         return format_vector(self)
+
+
+def _vector(t: tuple[int, ...]) -> LatticeVector:
+    """Wrap an int tuple (a, c_1, ..., c_r) without the constructor's check."""
+    v = object.__new__(LatticeVector)
+    object.__setattr__(v, "coeff_h", t[0])
+    object.__setattr__(v, "coeff_e", t[1:])
+    return v
+
+
+def _coeffs(v: LatticeVector, lattice: MarkedLattice) -> tuple[int, ...]:
+    """The tuple (a, c_1, ..., c_r) of a vector of the lattice's rank."""
+    if v.rank != lattice.r:
+        raise DomainError(f"rank mismatch: {v.rank} vs {lattice.r}")
+    return v.coeffs()
+
+
+def _vector_of(x) -> LatticeVector:
+    """The vector carried by a Root, CurveClass or WeightLift, or x itself."""
+    return x if isinstance(x, LatticeVector) else x.vector
 
 
 def _check_same_rank(a: LatticeVector, b: LatticeVector) -> None:
@@ -132,25 +156,13 @@ def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> s
 
 
 def format_vector(v: LatticeVector) -> str:
-    parts: list[tuple[str, str]] = []
-
-    def push(coeff: int, sym: str) -> None:
-        if coeff == 0:
-            return
-        mag = abs(coeff)
-        body = sym if mag == 1 else f"{mag}{sym}"
-        parts.append(("-" if coeff < 0 else "+", body))
-
-    push(v.coeff_h, "h")
-    for i, c in enumerate(v.coeff_e, 1):
-        push(c, f"e{i}")
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    symbols = ("h", *(f"e{i}" for i in range(1, v.rank + 1)))
+    text = "".join(
+        f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{s}"
+        for c, s in zip(v.coeffs(), symbols)
+        if c
+    )
+    return text.lstrip("+") or "0"
 
 
 def parse_vector(text: str, r: int) -> LatticeVector:
@@ -197,7 +209,7 @@ def parse_vector(text: str, r: int) -> LatticeVector:
         else:
             raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
         first = False
-    return LatticeVector(coeff_h, tuple(coeff_e))
+    return _vector((coeff_h, *coeff_e))
 
 
 # --- marked lattice ---------------------------------------------------------
@@ -381,7 +393,7 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
         if (need_sum - need_sq) % 2 != 0:
             continue
         for tail in _coeff_solutions(r, need_sum, need_sq):
-            out.append(LatticeVector(a, tail))
+            out.append(_vector((a, *tail)))
     out.sort()
     return out
 

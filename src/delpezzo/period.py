@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .errors import ConstraintError, DomainError
 from .lattice import LatticeVector, MarkedLattice, anticanonical, closure, inner
-from .weyl import _check_ints
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -146,10 +145,8 @@ def evaluate(period: PeriodHomomorphism, v: LatticeVector) -> TorsionPoint:
     """Value on any lattice vector, linear in the coefficients."""
     if v.rank != period.r:
         raise DomainError(f"vector rank {v.rank} != period rank {period.r}")
-    coeffs = v.coeffs()
-    _check_ints(coeffs, "vector coefficients")
     n, xs, ys = _residues(period.images)
-    return _point(_dot(coeffs, xs, ys, n), n)
+    return _point(_dot(v.coeffs(), xs, ys, n), n)
 
 
 def restrict_to_coroots(

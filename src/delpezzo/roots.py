@@ -8,14 +8,14 @@ emitted in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError, DomainError
 from .lattice import (
     LatticeVector,
     MarkedLattice,
+    _vector_of,
     basis_e,
     basis_h,
     closure,
@@ -23,7 +23,6 @@ from .lattice import (
     dual_basis_lifts,
     inner,
     vectors_of_type,
-    zero_vector,
 )
 
 
@@ -76,15 +75,10 @@ def expand_in_simple(alpha: Root | LatticeVector, lattice: MarkedLattice) -> tup
     coroots are a Z-basis of kappa-perp, so integral input gives integral
     coordinates.
     """
-    v = alpha.vector if isinstance(alpha, Root) else alpha
+    v = _vector_of(alpha)
     if degree(v, lattice) != 0:
         raise DomainError(f"{v} has degree {degree(v, lattice)}, not in kappa-perp")
-    coords = tuple(inner(v, w) for w in dual_basis_lifts(lattice))
-    acc = zero_vector(lattice.r)
-    for c, a in zip(coords, lattice.simple_coroots):
-        acc = acc + c * a
-    assert acc == v
-    return coords
+    return tuple(inner(v, w) for w in dual_basis_lifts(lattice))
 
 
 def positive_roots(lattice: MarkedLattice) -> list[Root]:
@@ -129,27 +123,12 @@ def cartan_matrix(lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
 # --- configuration classification -------------------------------------------
 
 
-def _exact_rank(vectors: Sequence[LatticeVector]) -> int:
-    rows = [[Fraction(c) for c in v.coeffs()] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / lead[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
-    """ADE type of an independent set of roots with pairwise products in {0, 1}."""
+    """ADE type of an independent set of roots with pairwise products in {0, 1}.
+
+    kappa-perp is negative definite (kappa.kappa = 9 - r > 0), so such roots
+    are independent iff each component of their graph is ADE (Humphreys 2.7).
+    """
     try:
         vecs = [as_root_vector(x) for x in roots]
     except DomainError as exc:
@@ -162,8 +141,6 @@ def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
                 raise ConfigurationError(
                     f"pairing <{vecs[i]}, {vecs[j]}> = {p} is outside {{0, 1}}"
                 )
-    if _exact_rank(vecs) < n:
-        raise ConfigurationError("roots are linearly dependent")
     adj = {i: {j for j in range(n) if j != i and inner(vecs[i], vecs[j]) == 1} for i in range(n)}
     components = []
     seen: set[int] = set()
@@ -172,28 +149,30 @@ def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
             continue
         comp = closure(start, adj.__getitem__)
         seen |= comp
-        components.append(_classify_component(sorted(comp), adj, vecs))
+        kind = _classify_component(comp, adj)
+        if kind is None:
+            raise ConfigurationError("roots are linearly dependent")
+        components.append(kind)
     return DynkinType(tuple(sorted(components)))
 
 
-def _classify_component(nodes, adj, vecs) -> tuple[str, int]:
+def _classify_component(nodes, adj) -> tuple[str, int] | None:
+    """ADE type of a connected diagram, or None when it is not ADE."""
     n = len(nodes)
-    deg = {v: len(adj[v]) for v in nodes}
-    edges = sum(deg.values()) // 2
-    label = "+".join(str(vecs[v]) for v in nodes)
-    if edges != n - 1 or any(d > 3 for d in deg.values()):
-        raise ConfigurationError(f"component {{{label}}} is not a simply-laced diagram")
-    branch = [v for v in nodes if deg[v] == 3]
+    deg = [len(adj[v]) for v in nodes]
+    if sum(deg) != 2 * (n - 1) or max(deg) > 3:
+        return None
+    branch = [v for v in nodes if len(adj[v]) == 3]
     if not branch:
         return ("A", n)
     if len(branch) > 1:
-        raise ConfigurationError(f"component {{{label}}} has two branch nodes")
+        return None
     arms = sorted(_arm_length(branch[0], nb, adj) for nb in adj[branch[0]])
     if arms[0] == 1 and arms[1] == 1:
         return ("D", n)
     if (arms[0], arms[1]) == (1, 2) and arms[2] in (2, 3, 4):
         return ("E", n)
-    raise ConfigurationError(f"component {{{label}}} is not a simply-laced diagram")
+    return None
 
 
 def _arm_length(branch: int, first: int, adj: dict[int, set[int]]) -> int:

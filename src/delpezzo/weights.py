@@ -15,6 +15,7 @@ from .geometry import _triples_summing_to
 from .lattice import (
     LatticeVector,
     MarkedLattice,
+    _vector_of,
     degree,
     dual_basis_lifts,
     inner,
@@ -43,10 +44,6 @@ def fundamental_weight_lift(lattice: MarkedLattice, i: int) -> WeightLift:
     if not 1 <= i <= lattice.r:
         raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
     return WeightLift(dual_basis_lifts(lattice)[i - 1], i)
-
-
-def _vector_of(w: WeightLift | LatticeVector) -> LatticeVector:
-    return w.vector if isinstance(w, WeightLift) else w
 
 
 def weight_evaluations(

@@ -8,7 +8,7 @@ The simple reflections run on raw coefficient tuples (a, c_1, ..., c_r).
 For i < r the label <v, alpha_i> is c_{i+1} - c_i and s_i swaps c_i and
 c_{i+1}; for i = r the label is m = a + c_1 + c_2 + c_3 and s_r adds m
 to a and subtracts it from c_1, c_2, c_3.  Words, descents and orbits
-all use this one kernel; LatticeVector appears only at the API boundary.
+all use this one kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .lattice import (
     LatticeVector,
     MarkedLattice,
     _check_same_rank,
+    _coeffs,
+    _vector,
     basis_e,
     basis_h,
     closure,
@@ -60,31 +62,10 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
     """
     a = as_root_vector(alpha)
     _check_same_rank(v, a)
-    t, g = v.coeffs(), a.coeffs()
-    _check_ints((*t, *g), "vector coefficients")
-    return _vector(_reflect_in(t, g))
+    return _vector(_reflect_in(v.coeffs(), a.coeffs()))
 
 
 # --- the coefficient-tuple kernel ---------------------------------------------
-
-
-def _check_ints(values: Iterable[int], what: str) -> None:
-    """The kernel is exact integer arithmetic: refuse floats, Fractions and the like."""
-    for c in values:
-        if not isinstance(c, int):
-            raise DomainError(f"{what} must be integers, got {c!r}")
-
-
-def _coeffs(v: LatticeVector, lattice: MarkedLattice) -> Coeffs:
-    if v.rank != lattice.r:
-        raise DomainError(f"rank mismatch: {v.rank} vs {lattice.r}")
-    t = (v.coeff_h, *v.coeff_e)
-    _check_ints(t, "vector coefficients")
-    return t
-
-
-def _vector(t: Coeffs) -> LatticeVector:
-    return LatticeVector(t[0], t[1:])
 
 
 def _labels(t: Coeffs) -> list[int]:
@@ -307,7 +288,6 @@ def connect_markings(
     r = lattice.r
     if len(matrix) != r + 1 or any(len(row) != r + 1 for row in matrix):
         raise DomainError(f"matrix must be {r + 1}x{r + 1}")
-    _check_ints((c for row in matrix for c in row), "matrix entries")
     images = [
         LatticeVector(matrix[0][j], tuple(matrix[i][j] for i in range(1, r + 1)))
         for j in range(r + 1)

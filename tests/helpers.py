@@ -8,6 +8,7 @@ independent.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from delpezzo import (
@@ -99,6 +100,49 @@ def exact_determinant(matrix) -> int:
         minor = [row[:j] + row[j + 1 :] for row in [list(m) for m in matrix[1:]]]
         total += (-1) ** j * matrix[0][j] * exact_determinant(minor)
     return total
+
+
+def exact_rank(vectors) -> int:
+    """Rank over Q of a list of LatticeVectors, by Fraction Gaussian elimination."""
+    rows = [[Fraction(c) for c in v.coeffs()] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / lead[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def two_pass_format_vector(v: LatticeVector) -> str:
+    """The `3h-e1-2e8` text built term by term, then sign-joined."""
+    parts: list[tuple[str, str]] = []
+
+    def push(coeff: int, sym: str) -> None:
+        if coeff == 0:
+            return
+        mag = abs(coeff)
+        body = sym if mag == 1 else f"{mag}{sym}"
+        parts.append(("-" if coeff < 0 else "+", body))
+
+    push(v.coeff_h, "h")
+    for i, c in enumerate(v.coeff_e, 1):
+        push(c, f"e{i}")
+    if not parts:
+        return "0"
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += sign + body
+    return out
 
 
 def bfs_orbit(

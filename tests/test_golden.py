@@ -59,6 +59,20 @@ CASES = (
         ("period", "--r", r, *(x for a in assigns for x in ("--assign", a)), "--canonical")
         for r, *assigns in _TIED_PERIODS
     ]
+    + [
+        ("roots", "--r", "3"),
+        ("roots", "--r", "8", "--positive"),
+        *(("lines", "--r", str(r)) for r in range(3, 9)),
+        ("classes", "--r", "7", "--self-int", "0", "--degree", "2"),
+        ("classes", "--r", "8", "--self-int", "1", "--degree", "3"),
+        ("orbit", "--r", "7", "--weight", "e7"),
+        ("weights", "--r", "6", "--fundamental", "2"),
+        ("weights", "--r", "7", "--fundamental", "7", "--minuscule"),
+        ("period", "--r", "6", "--assign", "e1=1/3,0", "--assign", "e2=2/3,0"),
+        ("classes", "--r", "6", "--self-int", "0", "--degree", "0"),  # exit 2
+        ("degenerate", "--r", "6", "--curves", "e1-e2,e2-e3,e3-e1"),  # exit 2: dependent
+        ("orbit", "--r", "8", "--weight", "4h-2e1-e2+e4+2e5+3e6+4e7+5e8"),  # exit 3
+    ]
 )
 
 FORMATS = ("table", "json")
@@ -80,3 +94,11 @@ def test_cli_matches_golden(argv, fmt, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_golden_is_a_case_and_every_case_is_recorded():
+    stems = {p.stem for p in GOLDEN.glob("*.out")}
+    codes = set(json.loads((GOLDEN / "exit_codes.json").read_text()))
+    names = {golden_name(argv, fmt) for argv in CASES for fmt in FORMATS}
+    assert len(names) == len(CASES) * len(FORMATS)
+    assert stems == codes == names

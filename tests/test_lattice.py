@@ -83,6 +83,19 @@ def test_vector_arithmetic():
         v + LatticeVector(1, (0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(1)])
+def test_vector_constructor_rejects_inexact_coefficients(bad):
+    message = f"vector coefficients must be integers, got {bad!r}"
+    for h, e in ((bad, (0,) * 6), (0, (0, 0, bad, 0, 0, 0))):
+        with pytest.raises(DomainError) as exc:
+            LatticeVector(h, e)
+        assert str(exc.value) == message
+
+
+def test_vector_constructor_accepts_bools():
+    assert LatticeVector(True, (False, 2)) == LatticeVector(1, (0, 2))
+
+
 @pytest.mark.parametrize("r", RANKS)
 def test_dual_basis_lifts_pair_to_identity(r):
     M = make_marked_lattice(r)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from delpezzo import (
@@ -5,10 +7,13 @@ from delpezzo import (
     VectorParseError,
     basis_e,
     basis_h,
+    enumerate_classes,
     format_vector,
+    make_marked_lattice,
     parse_vector,
     zero_vector,
 )
+from helpers import two_pass_format_vector
 
 
 def test_round_trip_basis():
@@ -44,6 +49,19 @@ def test_round_trip_random():
             rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(r))
         )
         assert parse_vector(format_vector(v), r) == v
+
+
+def test_format_matches_two_pass_formatter():
+    rng = random.Random(142)
+    vecs = [c.vector for c in enumerate_classes(make_marked_lattice(8), 1, 3)]
+    for r in (3, 5, 8):
+        vecs.append(zero_vector(r))
+        for _ in range(1000):
+            vecs.append(LatticeVector(
+                rng.randint(-30, 30), tuple(rng.randint(-30, 30) for _ in range(r))
+            ))
+    for v in vecs:
+        assert format_vector(v) == two_pass_format_vector(v)
 
 
 def test_parse_repeated_terms_accumulate():

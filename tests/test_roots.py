@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from delpezzo import (
@@ -26,6 +28,7 @@ from helpers import (
     closed_form_highest_root,
     closed_form_positive_roots,
     exact_determinant,
+    exact_rank,
 )
 
 RANKS = range(3, 9)
@@ -152,6 +155,41 @@ def test_dynkin_rejects_pairing_triangle():
     assert (a + b + c).is_zero()
     with pytest.raises(ConfigurationError):
         dynkin_type([a, b, c])
+
+
+@pytest.mark.parametrize("r", range(6, 9))
+def test_dynkin_dependence_matches_exact_rank(r):
+    # Greedy random root sets with pairings in {0, 1}, up to r + 1 roots.
+    rng = random.Random(600 + r)
+    M = make_marked_lattice(r)
+    roots = [root.vector for root in enumerate_roots(M)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        size = rng.randint(1, r + 1)
+        vecs = []
+        for v in rng.sample(roots, len(roots)):
+            if all(inner(v, u) in (0, 1) for u in vecs):
+                vecs.append(v)
+                if len(vecs) == size:
+                    break
+        dependent = exact_rank(vecs) < len(vecs)
+        outcomes[dependent] += 1
+        if dependent:
+            with pytest.raises(ConfigurationError, match=r"^roots are linearly dependent$"):
+                dynkin_type(vecs)
+        else:
+            assert dynkin_type(vecs).rank == len(vecs)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("r", range(4, 9))
+def test_dynkin_rejects_affine_diagrams(r):
+    # The simple coroots with the lowest root: affine A4, D5, E6, E7, E8.
+    M = make_marked_lattice(r)
+    extended = [*M.simple_coroots, -highest_root(M).vector]
+    assert all(inner(extended[-1], a) in (0, 1) for a in M.simple_coroots)
+    with pytest.raises(ConfigurationError, match=r"^roots are linearly dependent$"):
+        dynkin_type(extended)
 
 
 @pytest.mark.parametrize("r", RANKS)
