@@ -27,7 +27,7 @@ from .geometry import (
     enumerate_classes,
     lines,
 )
-from .lattice import degree, make_marked_lattice, parse_vector
+from .lattice import _symbols, degree, make_marked_lattice, parse_vector
 from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
 from .roots import enumerate_roots, positive_roots
 from .weights import (
@@ -251,10 +251,7 @@ def _parse_assignments(args, r) -> list[TorsionPoint]:
 def _handle_period(args, lattice):
     points = _parse_assignments(args, lattice.r)
     period = make_period(points)
-    symbols = ["h"] + [f"e{i}" for i in range(1, lattice.r + 1)]
-    items = [
-        {"basis": sym, "value": str(p)} for sym, p in zip(symbols, period.images)
-    ]
+    items = [{"basis": s, "value": str(p)} for s, p in zip(_symbols(lattice.r), period.images)]
     extra = {
         "coroot_values": [str(p) for p in restrict_to_coroots(period, lattice)]
     }

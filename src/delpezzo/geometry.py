@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, InternalError
@@ -17,6 +16,7 @@ from .lattice import (
     LatticeVector,
     MarkedLattice,
     _coeffs,
+    _form,
     _vector,
     _vector_of,
     degree,
@@ -72,12 +72,6 @@ def _line_vectors(lattice: MarkedLattice) -> list[LatticeVector]:
     return [c.vector for c in lines(lattice)]
 
 
-def _dual(t: tuple[int, ...]) -> tuple[int, ...]:
-    """(a, -c_1, ..., -c_r) for t = (a, c_1, ..., c_r), so that the
-    intersection product <t, u> is sum(map(mul, _dual(t), u))."""
-    return (t[0], *(-c for c in t[1:]))
-
-
 def _sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     return sorted(sets, key=lambda s: tuple(sorted(s)))
 
@@ -122,9 +116,8 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
     vecs = _line_vectors(lattice)
     ts = [v.coeffs() for v in vecs]
-    duals = [_dual(t) for t in ts]
     later = [
-        sum(1 << j for j in range(i + 1, len(ts)) if not sum(map(mul, duals[i], ts[j])))
+        sum(1 << j for j in range(i + 1, len(ts)) if not _form(ts[i], ts[j]))
         for i in range(len(ts))
     ]
     out: list[frozenset[LatticeVector]] = []
@@ -171,19 +164,17 @@ def blowdown_basis(
     ts = [_coeffs(a, lattice) for a in eps]
     kappa = lattice.kappa.coeffs()
     for i, (a, t) in enumerate(zip(eps, ts)):
-        d = _dual(t)
-        if sum(map(mul, d, t)) != -1 or sum(map(mul, d, kappa)) != 1:
+        if _form(t, t) != -1 or _form(t, kappa) != 1:
             raise DomainError(f"{a} is not a line class")
         for b, u in zip(eps[i + 1 :], ts[i + 1 :]):
-            if sum(map(mul, d, u)):
+            if _form(t, u):
                 raise DomainError(f"lines {a} and {b} are not disjoint")
     total = [sum(col) for col in zip(kappa, *ts)]
     if any(c % 3 != 0 for c in total):
         raise DomainError("gamma = (kappa + sum)/3 is not integral for these lines")
     g = tuple(c // 3 for c in total)
-    gd = _dual(g)
-    assert sum(map(mul, gd, g)) == 1
-    assert not any(sum(map(mul, gd, t)) for t in ts)
+    assert _form(g, g) == 1
+    assert not any(_form(g, t) for t in ts)
     gamma = _vector(g)
     return BlowdownBasis(gamma, eps)
 

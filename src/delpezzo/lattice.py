@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, OrbitCapError, VectorParseError
@@ -39,6 +39,8 @@ class LatticeVector:
     coeff_e: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.coeff_e, tuple):
+            raise DomainError(f"coeff_e must be a tuple, got {type(self.coeff_e).__name__}")
         for c in (self.coeff_h, *self.coeff_e):
             if not isinstance(c, int):
                 raise DomainError(f"vector coefficients must be integers, got {c!r}")
@@ -120,10 +122,16 @@ def anticanonical(r: int) -> LatticeVector:
     return LatticeVector(3, (-1,) * r)
 
 
+def _form(t: tuple[int, ...], u: tuple[int, ...]) -> int:
+    """The intersection form (1, -1, ..., -1) on coefficient tuples
+    (a, c_1, ..., c_r); the only copy of it in the package."""
+    return 2 * t[0] * u[0] - sum(map(mul, t, u))
+
+
 def inner(a: LatticeVector, b: LatticeVector) -> int:
     """Intersection product for the diagonal form (1, -1, ..., -1)."""
     _check_same_rank(a, b)
-    return a.coeff_h * b.coeff_h - sum(x * y for x, y in zip(a.coeff_e, b.coeff_e))
+    return _form(a.coeffs(), b.coeffs())
 
 
 def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> set:
@@ -155,11 +163,16 @@ def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> s
 # coefficient means 1, an omitted basis term means 0, the zero vector is "0".
 
 
+@lru_cache(maxsize=None)
+def _symbols(r: int) -> tuple[str, ...]:
+    """The basis symbols ("h", "e1", ..., "er")."""
+    return ("h", *(f"e{i}" for i in range(1, r + 1)))
+
+
 def format_vector(v: LatticeVector) -> str:
-    symbols = ("h", *(f"e{i}" for i in range(1, v.rank + 1)))
     text = "".join(
         f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{s}"
-        for c, s in zip(v.coeffs(), symbols)
+        for c, s in zip(v.coeffs(), _symbols(v.rank))
         if c
     )
     return text.lstrip("+") or "0"

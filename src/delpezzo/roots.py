@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable
 
 from .errors import ConfigurationError, DomainError
@@ -16,8 +17,6 @@ from .lattice import (
     LatticeVector,
     MarkedLattice,
     _vector_of,
-    basis_e,
-    basis_h,
     closure,
     degree,
     dual_basis_lifts,
@@ -45,6 +44,9 @@ def as_root_vector(x: Root | LatticeVector) -> LatticeVector:
     return Root(x).vector
 
 
+_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
 @dataclass(frozen=True, order=True)
 class DynkinType:
     """Multiset of simply-laced components, e.g. (('A', 1), ('A', 2)).
@@ -57,6 +59,20 @@ class DynkinType:
     @property
     def rank(self) -> int:
         return sum(n for _, n in self.components)
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| of the type: (n+1)! for A_n, 2^(n-1) n! for D_n and the E_n
+        table, multiplied over the components (Humphreys 2.11)."""
+        order = 1
+        for letter, n in self.components:
+            if letter == "A":
+                order *= factorial(n + 1)
+            elif letter == "D":
+                order *= 2 ** (n - 1) * factorial(n)
+            else:
+                order *= _E_ORDERS[n]
+        return order
 
     def __str__(self) -> str:
         if not self.components:
@@ -94,22 +110,13 @@ def root_height(alpha: Root | LatticeVector, lattice: MarkedLattice) -> int:
     return sum(expand_in_simple(alpha, lattice))
 
 def highest_root(lattice: MarkedLattice) -> Root:
-    """The unique positive root of maximal height (r = 4..8 only)."""
-    r = lattice.r
-    if r == 3:
+    """The unique positive root of maximal height (r = 4..8 only): minus
+    the dominant root, all roots being one Weyl orbit."""
+    if lattice.r == 3:
         raise DomainError("rank 3 gives the non-simple system A1+A2; no highest root")
-    h = basis_h(r)
-    if r in (4, 5):
-        v = h - basis_e(r, r - 2) - basis_e(r, r - 1) - basis_e(r, r)
-    elif r in (6, 7):
-        v = 2 * h
-        for j in range(r - 5, r + 1):
-            v = v - basis_e(r, j)
-    else:
-        v = 3 * h - 2 * basis_e(r, 8)
-        for j in range(1, 8):
-            v = v - basis_e(r, j)
-    root = Root(v)
+    from .weyl import dominant_representative  # weyl imports this module
+
+    root = Root(-dominant_representative(lattice.simple_coroots[0], lattice)[0])
     assert all(c >= 0 for c in expand_in_simple(root, lattice))
     return root
 

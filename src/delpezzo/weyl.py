@@ -14,7 +14,6 @@ all use this one kernel.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
@@ -23,14 +22,16 @@ from .lattice import (
     MarkedLattice,
     _check_same_rank,
     _coeffs,
+    _form,
     _vector,
     basis_e,
     basis_h,
     closure,
     dual_basis_lifts,
     inner,
+    make_marked_lattice,
 )
-from .roots import Root, as_root_vector
+from .roots import Root, as_root_vector, dynkin_type
 
 Word = tuple[int, ...]
 Coeffs = tuple[int, ...]
@@ -85,7 +86,7 @@ def _reflect(t: Coeffs, i: int) -> Coeffs:
 
 def _reflect_in(t: Coeffs, g: Coeffs) -> Coeffs:
     """Reflection t + <t, g> g in a root g."""
-    m = t[0] * g[0] - sum(x * y for x, y in zip(t[1:], g[1:]))
+    m = _form(t, g)
     return tuple(x + m * y for x, y in zip(t, g)) if m else t
 
 
@@ -102,39 +103,11 @@ def _descend(t: Coeffs) -> tuple[Coeffs, list[int]]:
             return t, word
 
 
-_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
-
-
 @lru_cache(maxsize=None)
 def _parabolic_order(r: int, nodes: frozenset[int]) -> int:
-    """|W_J| for the simple reflections J = `nodes` of the E_r diagram.
-
-    Nodes 1..r-1 form a chain and, for r >= 4, node r hangs off node 3.
-    So every component of J is a run of chain nodes, with node r attached
-    when the run holds node 3: type A_n, or D_n / E_n when node 3 is
-    inside the run and becomes a branch point.
-    """
-    runs: list[list[int]] = []
-    for i in sorted(n for n in nodes if n < r):
-        if runs and runs[-1][1] == i - 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    order = 1
-    spare = r in nodes  # node r not yet counted in a component
-    for lo, hi in runs:
-        n = hi - lo + 1
-        if spare and r > 3 and lo <= 3 <= hi:
-            spare = False
-            n += 1
-            if lo < 3 < hi:  # arms of lengths 3 - lo, hi - 3 and 1
-                if min(3 - lo, hi - 3) == 2:
-                    order *= _E_ORDERS[n]
-                else:
-                    order *= 2 ** (n - 1) * factorial(n)
-                continue
-        order *= factorial(n + 1)
-    return order * 2 if spare else order
+    """|W_J| for the simple reflections J = `nodes` of the E_r diagram."""
+    coroots = make_marked_lattice(r).simple_coroots
+    return dynkin_type(coroots[i - 1] for i in nodes).weyl_order
 
 
 def _orbit_size(dom: Coeffs) -> int:

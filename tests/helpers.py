@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from delpezzo import (
     LatticeVector,
@@ -58,6 +59,39 @@ def closed_form_highest_root(r: int) -> LatticeVector:
     if r in (6, 7):
         return 2 * h - esum(r, range(r - 5, r + 1))
     return 3 * h - esum(r, range(1, 8)) - 2 * basis_e(r, 8)
+
+
+def chain_parabolic_order(r: int, nodes: frozenset[int]) -> int:
+    """|W_J| for the simple reflections J = `nodes` of the E_r diagram, read
+    off the diagram's shape.  Oracle for weyl._parabolic_order.
+
+    Nodes 1..r-1 form a chain and, for r >= 4, node r hangs off node 3.
+    So every component of J is a run of chain nodes, with node r attached
+    when the run holds node 3: type A_n, or D_n / E_n when node 3 is
+    inside the run and becomes a branch point.
+    """
+    e_orders = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+    runs: list[list[int]] = []
+    for i in sorted(n for n in nodes if n < r):
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    order = 1
+    spare = r in nodes  # node r not yet counted in a component
+    for lo, hi in runs:
+        n = hi - lo + 1
+        if spare and r > 3 and lo <= 3 <= hi:
+            spare = False
+            n += 1
+            if lo < 3 < hi:  # arms of lengths 3 - lo, hi - 3 and 1
+                if min(3 - lo, hi - 3) == 2:
+                    order *= e_orders[n]
+                else:
+                    order *= 2 ** (n - 1) * factorial(n)
+                continue
+        order *= factorial(n + 1)
+    return order * 2 if spare else order
 
 
 def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVector]:

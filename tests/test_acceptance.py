@@ -23,7 +23,6 @@ from delpezzo import (
     dominant_representative,
     double_sixes,
     dual_partner,
-    enumerate_classes,
     enumerate_roots,
     euler_char,
     evaluate,

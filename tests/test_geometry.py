@@ -7,7 +7,6 @@ import pytest
 from delpezzo import (
     CurveClass,
     DomainError,
-    Root,
     apply_word,
     basis_e,
     basis_h,

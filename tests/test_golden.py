@@ -41,6 +41,13 @@ _TIED_PERIODS = [
     ("7", "e2=1/2,1/2", "e5=1/2,1/2"),
 ]
 
+_THIRDS_ON_H_E1_E2_E3 = (
+    "period",
+    "--r",
+    "6",
+    *(x for sym in ("h", "e1", "e2", "e3") for x in ("--assign", f"{sym}=1/3,0")),
+)
+
 CASES = (
     [("degenerate", "--r", str(r), "--curves", c) for r, cs in _CURVES.items() for c in cs]
     + [("triples", "--r", "6")]
@@ -69,6 +76,7 @@ CASES = (
         ("weights", "--r", "6", "--fundamental", "2"),
         ("weights", "--r", "7", "--fundamental", "7", "--minuscule"),
         ("period", "--r", "6", "--assign", "e1=1/3,0", "--assign", "e2=2/3,0"),
+        *((*_THIRDS_ON_H_E1_E2_E3, *flag) for flag in ((), ("--canonical",))),
         ("classes", "--r", "6", "--self-int", "0", "--degree", "0"),  # exit 2
         ("degenerate", "--r", "6", "--curves", "e1-e2,e2-e3,e3-e1"),  # exit 2: dependent
         ("orbit", "--r", "8", "--weight", "4h-2e1-e2+e4+2e5+3e6+4e7+5e8"),  # exit 3

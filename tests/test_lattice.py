@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -22,7 +21,8 @@ from delpezzo import (
     vectors_of_type,
     zero_vector,
 )
-from helpers import LINE_COUNTS, brute_force_classes, random_vector
+from delpezzo.lattice import _form
+from helpers import LINE_COUNTS, brute_force_classes
 
 RANKS = range(3, 9)
 
@@ -94,6 +94,41 @@ def test_vector_constructor_rejects_inexact_coefficients(bad):
 
 def test_vector_constructor_accepts_bools():
     assert LatticeVector(True, (False, 2)) == LatticeVector(1, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "coeff_e, kind", [([0] * 6, "list"), ((0 for _ in range(6)), "generator")]
+)
+def test_vector_constructor_rejects_non_tuple_container(coeff_e, kind):
+    with pytest.raises(DomainError) as exc:
+        LatticeVector(1, coeff_e)
+    assert str(exc.value) == f"coeff_e must be a tuple, got {kind}"
+
+
+def test_scalar_product_needs_an_int():
+    M = make_marked_lattice(6)
+    with pytest.raises(TypeError):
+        M.h * 1.5
+    with pytest.raises(TypeError):
+        1.5 * M.h
+
+
+def test_basis_index_outside_range():
+    with pytest.raises(DomainError, match=r"basis index e7 outside 1\.\.6"):
+        basis_e(6, 7)
+    with pytest.raises(DomainError):
+        basis_e(6, 0)
+
+
+def test_tuple_form_matches_plain_loop():
+    rng = random.Random(21)
+    for _ in range(500):
+        r = rng.randint(3, 9)
+        t, u = ([rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(2))
+        plain = t[0] * u[0]
+        for i in range(1, r + 1):
+            plain -= t[i] * u[i]
+        assert _form(tuple(t), tuple(u)) == plain
 
 
 @pytest.mark.parametrize("r", RANKS)
@@ -224,6 +259,18 @@ def test_lift_weight_last_node():
     assert lift_weight(psi, M) == M.h - M.kappa
 
 
+@pytest.mark.parametrize("psi", [(0,) * 5, (0,) * 7])
+def test_lifts_reject_wrong_length_psi(psi):
+    M = make_marked_lattice(6)
+    message = f"psi must have 6 entries, got {len(psi)}"
+    with pytest.raises(DomainError) as exc:
+        lift_character(0, psi, M)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        lift_weight(psi, M)
+    assert str(exc.value) == message
+
+
 def test_euler_char():
     M = make_marked_lattice(6)
     assert euler_char(zero_vector(6), M) == 1
@@ -238,6 +285,11 @@ def test_vectors_of_type_against_box_scan(r):
         got = vectors_of_type(make_marked_lattice(r), norm, deg)
         assert list(got) == sorted(got)
         assert set(got) == brute_force_classes(r, norm, deg, 4)
+
+
+def test_vectors_of_type_negative_discriminant_is_empty():
+    # r (deg^2 - (9 - r) norm) < 0: Cauchy-Schwarz leaves no a at all
+    assert vectors_of_type(make_marked_lattice(6), 5, 0) == []
 
 
 @pytest.mark.parametrize("r", RANKS)

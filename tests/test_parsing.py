@@ -39,6 +39,12 @@ def test_format_examples():
     assert format_vector(LatticeVector(-2, (1, 1, 0))) == "-2h+e1+e2"
 
 
+def test_format_beyond_rank_8():
+    # the constructor allows any rank, so the symbol table is built per rank
+    v = LatticeVector(1, (0,) * 8 + (1, -2))
+    assert format_vector(v) == "h+e9-2e10" == two_pass_format_vector(v)
+
+
 def test_round_trip_random():
     import random
 

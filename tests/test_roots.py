@@ -7,8 +7,6 @@ from delpezzo import (
     DomainError,
     DynkinType,
     Root,
-    basis_e,
-    basis_h,
     cartan_matrix,
     dual_basis_lifts,
     dynkin_type,
@@ -25,6 +23,7 @@ from delpezzo import (
 from helpers import (
     DYNKIN_NAMES,
     ROOT_COUNTS,
+    bfs_orbit,
     closed_form_highest_root,
     closed_form_positive_roots,
     exact_determinant,
@@ -110,6 +109,29 @@ def test_dynkin_of_simple_coroots(r):
     assert str(dynkin_type(make_marked_lattice(r).simple_coroots)) == DYNKIN_NAMES[r]
 
 
+WEYL_ORDERS = {3: 12, 4: 120, 5: 1_920, 6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_weyl_group_orders(r):
+    assert root_system(make_marked_lattice(r)).dynkin.weyl_order == WEYL_ORDERS[r]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_weyl_order_is_regular_orbit_size(r):
+    # a strictly dominant weight has trivial stabilizer
+    M = make_marked_lattice(r)
+    regular = sum(dual_basis_lifts(M)[1:], dual_basis_lifts(M)[0])
+    assert len(bfs_orbit(regular, M)) == dynkin_type(M.simple_coroots).weyl_order
+
+
+def test_weyl_order_multiplies_over_components():
+    assert DynkinType(()).weyl_order == 1
+    assert DynkinType((("A", 1), ("A", 1), ("A", 2))).weyl_order == 2 * 2 * 6
+    assert DynkinType((("D", 4),)).weyl_order == 192
+    assert DynkinType((("A", 2), ("E", 6))).weyl_order == 6 * 51_840
+
+
 def test_dynkin_values():
     assert dynkin_type([]) == DynkinType(())
     assert str(dynkin_type([])) == "trivial"
@@ -124,6 +146,8 @@ def test_dynkin_values():
           M.h - M.e(1) - M.e(2) - M.e(3)]
     assert str(dynkin_type(d4)) == "D4"
     assert dynkin_type(d4).rank == 4
+    assert dynkin_type(map(Root, d4)) == dynkin_type(d4)
+    assert dynkin_type([Root(a), b, Root(c)]) == dynkin_type([a, b, c])
 
 
 def test_dynkin_rejects_negative_pairing():

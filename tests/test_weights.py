@@ -8,11 +8,9 @@ from delpezzo import (
     coplanar_triples,
     cubic_form_support,
     degree,
-    dual_basis_lifts,
     dual_partner,
     fundamental_weight_lift,
     highest_root,
-    inner,
     is_minuscule,
     make_marked_lattice,
     orbit,
@@ -168,6 +166,13 @@ def test_duality_is_an_involution(r):
     for i in range(1, r + 1):
         j = dual_partner(i, M).partner
         assert dual_partner(j, M).partner == i
+
+
+@pytest.mark.parametrize("i", [0, 7])
+def test_dual_partner_index_outside_range(i):
+    with pytest.raises(DomainError) as exc:
+        dual_partner(i, make_marked_lattice(6))
+    assert str(exc.value) == f"fundamental index {i} outside 1..6"
 
 
 def test_cubic_form_support_matches_triples():

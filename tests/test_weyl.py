@@ -1,14 +1,15 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from delpezzo import (
     DomainError,
-    InternalError,
     LatticeVector,
     OrbitCapError,
+    Root,
     apply_word,
     connect_markings,
     degree,
@@ -31,6 +32,7 @@ from helpers import (
     ROOT_COUNTS,
     bfs_orbit,
     bfs_orbit_of_set,
+    chain_parabolic_order,
     random_vector,
     random_word,
 )
@@ -62,6 +64,14 @@ def test_reflect_examples():
     assert reflect(a6, M.e(4)) == M.e(4)
     with pytest.raises(DomainError):
         reflect(M.e(1), M.e(2))  # not a root
+
+
+def test_reflect_accepts_root_objects():
+    M = make_marked_lattice(6)
+    v = LatticeVector(2, (1, 0, -1, 3, 0, 1))
+    for root in enumerate_roots(M):
+        assert reflect(root, v) == reflect(root.vector, v)
+    assert reflect(Root(M.e(1) - M.e(2)), M.e(1)) == M.e(2)
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -186,6 +196,18 @@ def test_orbit_cap_is_checked_before_any_search():
 )
 def test_parabolic_orders_by_type(r, nodes, order):
     assert _parabolic_order(r, frozenset(nodes)) == order
+
+
+def test_parabolic_orders_match_chain_oracle():
+    cases = [
+        (r, frozenset(nodes))
+        for r in range(3, 9)
+        for k in range(r + 1)
+        for nodes in combinations(range(1, r + 1), k)
+    ]
+    assert len(cases) == 504
+    for r, nodes in cases:
+        assert _parabolic_order(r, nodes) == chain_parabolic_order(r, nodes)
 
 
 @pytest.mark.parametrize(
