@@ -56,112 +56,44 @@ def _orbit_cap() -> int:
     return cap
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="delpezzo", description="exact del Pezzo lattice reports"
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"delpezzo {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--r", type=int, required=True, help="rank of the marking, 3..8")
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--timing", action="store_true", help="include timing_ms")
-        return p
-
-    p = cmd("roots", help="list roots")
-    p.add_argument("--positive", action="store_true")
-
-    cmd("lines", help="list line classes")
-
-    p = cmd("classes", help="list curve classes of given type")
-    p.add_argument("--self-int", type=int, required=True, dest="self_int")
-    p.add_argument("--degree", type=int, required=True)
-
-    cmd("triples", help="coplanar line triples (r=6)")
-
-    p = cmd("sixes", help="sixes of disjoint lines (r=6)")
-    p.add_argument("--double", action="store_true", help="pair them into double sixes")
-
-    p = cmd("orbit", help="Weyl orbit of a vector")
-    p.add_argument("--weight", required=True, help="vector like 3h-e1-2e8")
-
-    p = cmd("weights", help="fundamental weight reports")
-    p.add_argument("--fundamental", type=int, help="fundamental index 1..r")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--minuscule", action="store_true")
-    mode.add_argument("--dual", action="store_true")
-    mode.add_argument("--adjoint", action="store_true")
-
-    p = cmd("degenerate", help="orbit decomposition for an RDP configuration")
-    p.add_argument(
-        "--curves", required=True, help="comma-separated roots, e.g. e1-e2,e2-e3"
-    )
-
-    p = cmd("period", help="torsion period point reports")
-    p.add_argument(
-        "--assign",
-        action="append",
-        default=[],
-        metavar="SYM=A/B,C/D",
-        help="basis image, e.g. h=1/3,0; unassigned symbols are 0",
-    )
-    p.add_argument("--canonical", action="store_true")
-    return parser
-
-
 # --- handlers ----------------------------------------------------------------
 
 
 def _handle_roots(args, lattice):
     found = positive_roots(lattice) if args.positive else enumerate_roots(lattice)
-    return (
-        {"r": args.r, "positive": bool(args.positive)},
-        {},
-        [str(root.vector) for root in found],
-        {},
-    )
+    return {"positive": bool(args.positive)}, {}, [str(root.vector) for root in found], {}
 
 
 def _handle_lines(args, lattice):
-    return {"r": args.r}, {}, [str(c.vector) for c in lines(lattice)], {}
+    return {}, {}, [str(c.vector) for c in lines(lattice)], {}
 
 
 def _handle_classes(args, lattice):
     found = enumerate_classes(lattice, args.self_int, args.degree)
-    return (
-        {"r": args.r, "self_int": args.self_int, "degree": args.degree},
-        {},
-        [str(c.vector) for c in found],
-        {},
-    )
+    query = {"self_int": args.self_int, "degree": args.degree}
+    return query, {}, [str(c.vector) for c in found], {}
 
 
 def _handle_triples(args, lattice):
     items = [sorted(str(v) for v in t) for t in coplanar_triples(lattice)]
-    return {"r": args.r}, {}, items, {}
+    return {}, {}, items, {}
 
 
 def _handle_sixes(args, lattice):
     if args.double:
-        pairs = double_sixes(lattice)
         items = [
-            {"six": sorted(str(v) for v in a), "partner": sorted(str(v) for v in b)}
-            for a, b in pairs
+            {"six": sorted(map(str, a)), "partner": sorted(map(str, b))}
+            for a, b in double_sixes(lattice)
         ]
-        return {"r": args.r, "double": True}, {"sixes": 2 * len(items)}, items, {}
-    sets = disjoint_line_sets(lattice, 6)
-    items = [sorted(str(v) for v in s) for s in sets]
-    return {"r": args.r, "double": False}, {}, items, {}
+        return {"double": True}, {"sixes": 2 * len(items)}, items, {}
+    items = [sorted(map(str, s)) for s in disjoint_line_sets(lattice, 6)]
+    return {"double": False}, {}, items, {}
 
 
 def _handle_orbit(args, lattice):
     v = parse_vector(args.weight, lattice.r)
     members = orbit(v, lattice, cap=_orbit_cap())
-    return {"r": args.r, "weight": args.weight}, {}, [str(u) for u in members], {}
+    return {"weight": args.weight}, {}, [str(u) for u in members], {}
 
 
 def _weight_item(args, lattice, i):
@@ -183,7 +115,7 @@ def _handle_weights(args, lattice):
         ]
         counts = {"total_multiplicity": sum(e["multiplicity"] for e in items)}
         extra = {"dimension": system.dimension, "highest": str(system.highest)}
-        return {"r": args.r, "mode": "adjoint"}, counts, items, extra
+        return {"mode": "adjoint"}, counts, items, extra
     if args.fundamental is None:
         raise DomainError("--fundamental is required unless --adjoint is given")
     i = args.fundamental
@@ -195,7 +127,7 @@ def _handle_weights(args, lattice):
             "word": format_word(witness.word),
             "kappa_multiple": witness.multiple,
         }
-        return {"r": args.r, "fundamental": i, "mode": "dual"}, {}, [item], {}
+        return {"fundamental": i, "mode": "dual"}, {}, [item], {}
     item = _weight_item(args, lattice, i)
     if args.minuscule:
         lift = fundamental_weight_lift(lattice, i)
@@ -205,7 +137,7 @@ def _handle_weights(args, lattice):
         mode = "minuscule"
     else:
         mode = "lift"
-    return {"r": args.r, "fundamental": i, "mode": mode}, {}, [item], {}
+    return {"fundamental": i, "mode": mode}, {}, [item], {}
 
 
 def _handle_degenerate(args, lattice):
@@ -229,7 +161,7 @@ def _handle_degenerate(args, lattice):
         counts[key] = counts.get(key, 0) + 1
     counts["incident_lines"] = len(incident_lines(config, lattice))
     extra = {"gauge_type": str(config.dynkin)}
-    return {"r": args.r, "curves": args.curves}, counts, items, extra
+    return {"curves": args.curves}, counts, items, extra
 
 
 def _parse_assignments(args, r) -> list[TorsionPoint]:
@@ -258,20 +190,67 @@ def _handle_period(args, lattice):
     if args.canonical:
         canonical = weyl_canonicalize(period, lattice, cap=_orbit_cap())
         extra["canonical"] = [str(p) for p in canonical]
-    return {"r": args.r, "canonical": bool(args.canonical)}, {}, items, extra
+    return {"canonical": bool(args.canonical)}, {}, items, extra
 
 
-_HANDLERS = {
-    "roots": _handle_roots,
-    "lines": _handle_lines,
-    "classes": _handle_classes,
-    "triples": _handle_triples,
-    "sixes": _handle_sixes,
-    "orbit": _handle_orbit,
-    "weights": _handle_weights,
-    "degenerate": _handle_degenerate,
-    "period": _handle_period,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="delpezzo", description="exact del Pezzo lattice reports"
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"delpezzo {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def cmd(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        p.add_argument("--r", type=int, required=True, help="rank of the marking, 3..8")
+        p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument("--timing", action="store_true", help="include timing_ms")
+        return p
+
+    p = cmd("roots", _handle_roots, help="list roots")
+    p.add_argument("--positive", action="store_true")
+
+    cmd("lines", _handle_lines, help="list line classes")
+
+    p = cmd("classes", _handle_classes, help="list curve classes of given type")
+    p.add_argument("--self-int", type=int, required=True, dest="self_int")
+    p.add_argument("--degree", type=int, required=True)
+
+    cmd("triples", _handle_triples, help="coplanar line triples (r=6)")
+
+    p = cmd("sixes", _handle_sixes, help="sixes of disjoint lines (r=6)")
+    p.add_argument("--double", action="store_true", help="pair them into double sixes")
+
+    p = cmd("orbit", _handle_orbit, help="Weyl orbit of a vector")
+    p.add_argument("--weight", required=True, help="vector like 3h-e1-2e8")
+
+    p = cmd("weights", _handle_weights, help="fundamental weight reports")
+    p.add_argument("--fundamental", type=int, help="fundamental index 1..r")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--minuscule", action="store_true")
+    mode.add_argument("--dual", action="store_true")
+    mode.add_argument("--adjoint", action="store_true")
+
+    p = cmd(
+        "degenerate", _handle_degenerate, help="orbit decomposition for an RDP configuration"
+    )
+    p.add_argument(
+        "--curves", required=True, help="comma-separated roots, e.g. e1-e2,e2-e3"
+    )
+
+    p = cmd("period", _handle_period, help="torsion period point reports")
+    p.add_argument(
+        "--assign",
+        action="append",
+        default=[],
+        metavar="SYM=A/B,C/D",
+        help="basis image, e.g. h=1/3,0; unassigned symbols are 0",
+    )
+    p.add_argument("--canonical", action="store_true")
+    return parser
 
 
 # --- report emission ----------------------------------------------------------
@@ -313,7 +292,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         lattice = make_marked_lattice(args.r)
-        query, counts, items, extra = _HANDLERS[args.command](args, lattice)
+        query, counts, items, extra = args.handler(args, lattice)
     except OrbitCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -322,7 +301,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     report = {
         "tool": {"name": "delpezzo", "version": __version__},
-        "query": {"command": args.command, **query},
+        "query": {"command": args.command, "r": args.r, **query},
         "counts": {"items": len(items), **counts},
         "items": items,
     }

@@ -3,11 +3,12 @@
 Lines, conics and friends are enumerated exactly from (self-intersection,
 degree) data; the r = 6 lattice additionally carries the classical
 incidence structures: 45 coplanar triples, 72 sixes, 36 double sixes.
+Each double six is read straight off one positive root rho: its two sixes
+are the lines L with <L, rho> = +1 and those with <L, rho> = -1.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,7 +24,7 @@ from .lattice import (
     inner,
     vectors_of_type,
 )
-from .roots import Root
+from .roots import Root, positive_roots
 
 
 @dataclass(frozen=True, order=True)
@@ -72,10 +73,6 @@ def _line_vectors(lattice: MarkedLattice) -> list[LatticeVector]:
     return [c.vector for c in lines(lattice)]
 
 
-def _sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
-
-
 def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
     """Unordered line triples summing to kappa (r = 6 only).
 
@@ -90,15 +87,19 @@ def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
 def _triples_summing_to(
     vecs: list[LatticeVector], total: LatticeVector
 ) -> list[frozenset[LatticeVector]]:
-    """Unordered triples of distinct members of `vecs` summing to `total`."""
+    """Unordered triples of distinct members of `vecs` summing to `total`.
+
+    `vecs` must be sorted: each triple a < b < c is found once, from its two
+    least members, so the triples come out ordered by their sorted members.
+    """
     vset = set(vecs)
-    triples = set()
+    triples = []
     for i, a in enumerate(vecs):
         for b in vecs[i + 1 :]:
             c = total - a - b
-            if c != a and c != b and c in vset:
-                triples.add(frozenset((a, b, c)))
-    return _sorted_sets(triples)
+            if c > b and c in vset:
+                triples.append(frozenset((a, b, c)))
+    return triples
 
 
 def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[LatticeVector]]:
@@ -195,29 +196,28 @@ def root_from_six(
 def double_sixes(
     lattice: MarkedLattice,
 ) -> list[tuple[frozenset[LatticeVector], frozenset[LatticeVector]]]:
-    """The 36 double sixes: the 72 sixes paired off by opposite roots.
+    """The 36 double sixes, one per positive root rho (r = 6).
 
-    Partner sixes carry roots rho and -rho and interleave in the classical
-    pattern: under the right indexing L_i meets L_j' exactly when i != j.
+    The sixes of rho are the lines L with <L, rho> = +1 (root_from_six gives
+    rho) and with <L, rho> = -1 (it gives -rho); the lesser one comes first.
+    They interleave in the classical pattern: under the right indexing L_i
+    meets L_j' exactly when i != j.
     """
     if lattice.r != 6:
         raise DomainError("double sixes require r = 6")
-    sixes = disjoint_line_sets(lattice, 6)
-    by_root: dict[LatticeVector, list[frozenset]] = defaultdict(list)
-    for six in sixes:
-        rho = root_from_six(six, lattice).vector
-        by_root[max(rho, -rho)].append(six)
+    vecs = _line_vectors(lattice)
     pairs = []
-    for rho, group in by_root.items():
-        if len(group) != 2:
-            raise InternalError(f"root {rho} pairs {len(group)} sixes, expected 2")
-        first, second = sorted(group, key=lambda s: tuple(sorted(s)))
-        _check_double_six(first, second)
-        pairs.append((first, second))
-    return sorted(pairs, key=lambda p: tuple(sorted(p[0])))
+    for rho in positive_roots(lattice):
+        plus = [v for v in vecs if inner(v, rho.vector) == 1]
+        minus = [v for v in vecs if inner(v, rho.vector) == -1]
+        if len(plus) != 6 or len(minus) != 6:
+            raise InternalError(f"root {rho.vector} splits the lines {len(plus)}/{len(minus)}")
+        _check_double_six(plus, minus)
+        pairs.append(sorted((plus, minus)))
+    return [(frozenset(first), frozenset(second)) for first, second in sorted(pairs)]
 
 
-def _check_double_six(first: frozenset, second: frozenset) -> None:
+def _check_double_six(first: list[LatticeVector], second: list[LatticeVector]) -> None:
     partners = {}
     for a in first:
         disjoint = [b for b in second if inner(a, b) == 0]

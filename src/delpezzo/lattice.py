@@ -390,7 +390,8 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
     Writing v = a*h + sum c_i e_i the constraints read
     sum c_i = deg - 3a and sum c_i^2 = a^2 - norm, so Cauchy-Schwarz
     confines a to a finite interval and the c_i to a finite box; the
-    recursion prunes on partial sums, squares and parity.
+    recursion prunes on partial sums, squares and parity.  a and each c_i
+    run upwards, so the vectors come out sorted.
     """
     r = lattice.r
     disc = r * (deg * deg - (9 - r) * norm)
@@ -407,7 +408,6 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
             continue
         for tail in _coeff_solutions(r, need_sum, need_sq):
             out.append(_vector((a, *tail)))
-    out.sort()
     return out
 
 

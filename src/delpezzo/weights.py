@@ -19,7 +19,6 @@ from .lattice import (
     degree,
     dual_basis_lifts,
     inner,
-    shift_to_degree,
     zero_vector,
 )
 from .roots import enumerate_roots, highest_root
@@ -78,8 +77,8 @@ class WeightSystem:
 def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
     """Nonzero weights = the roots, zero weight with multiplicity r.
 
-    The highest weight is the class of kappa - (highest root); its
-    normalized lift has degree 0.
+    The highest weight is the class of kappa - theta, theta the highest
+    root; its lift of degree 0 is -theta.
     """
     if lattice.r < 4:
         raise DomainError("adjoint weight system requires 4 <= r <= 8")
@@ -87,8 +86,7 @@ def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
     entries = [(root.vector, 1) for root in roots]
     entries.append((zero_vector(lattice.r), lattice.r))
     entries.sort()
-    top = shift_to_degree(lattice.kappa - highest_root(lattice).vector, 0, lattice)
-    return WeightSystem(tuple(entries), len(roots) + lattice.r, top)
+    return WeightSystem(tuple(entries), len(roots) + lattice.r, -highest_root(lattice).vector)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ independent.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -22,6 +23,7 @@ from delpezzo import (
     inner,
     lines,
     restrict_to_coroots,
+    root_from_six,
     zero_vector,
 )
 
@@ -239,6 +241,34 @@ def backtrack_disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozens
 
     extend(0, [])
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def set_and_sort_triples(vecs, total: LatticeVector) -> list[frozenset]:
+    """Unordered triples of distinct members of `vecs` summing to `total`:
+    every pair is completed, the triples are deduplicated in a set and
+    sorted by their sorted member tuples.  Oracle for
+    geometry._triples_summing_to."""
+    vset = set(vecs)
+    triples = set()
+    for i, a in enumerate(vecs):
+        for b in vecs[i + 1 :]:
+            c = total - a - b
+            if c != a and c != b and c in vset:
+                triples.add(frozenset((a, b, c)))
+    return sorted(triples, key=lambda s: tuple(sorted(s)))
+
+
+def root_paired_double_sixes(lattice: MarkedLattice) -> list[tuple[frozenset, frozenset]]:
+    """The 72 sixes of disjoint lines paired off by the opposite roots that
+    root_from_six attaches to them; each pair and the list are sorted by
+    sorted member tuples.  Oracle for geometry.double_sixes."""
+    by_root = defaultdict(list)
+    for six in backtrack_disjoint_line_sets(lattice, 6):
+        rho = root_from_six(six, lattice).vector
+        by_root[max(rho, -rho)].append(six)
+    assert len(by_root) == 36 and all(len(g) == 2 for g in by_root.values())
+    pairs = [tuple(sorted(g, key=lambda s: tuple(sorted(s)))) for g in by_root.values()]
+    return sorted(pairs, key=lambda p: tuple(sorted(p[0])))
 
 
 def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):

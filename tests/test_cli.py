@@ -242,6 +242,35 @@ def test_version(capsys):
     assert out.strip() == f"delpezzo {__version__}"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["roots"],
+        ["bogus", "--r", "6"],
+        ["roots", "--r", "6", "--format", "xml"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_2_with_empty_stdout(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_timing_is_the_last_key_and_one_table_line(capsys):
+    argv = ["degenerate", "--r", "6", "--curves", "e1-e2"]
+    timed = run_json(capsys, *argv, "--timing")
+    assert list(timed)[-1] == "timing_ms"
+    assert {k: v for k, v in timed.items() if k != "timing_ms"} == run_json(capsys, *argv)
+    assert run(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert run([*argv, "--timing"]) == 0
+    lines_out = capsys.readouterr().out.splitlines()
+    timing = [line for line in lines_out if line.startswith("timing_ms: ")]
+    assert len(timing) == 1
+    assert [line for line in lines_out if line not in timing] == plain
+
+
 def test_byte_identical_reruns(capsys):
     run(["lines", "--r", "6", "--format", "json"])
     first = capsys.readouterr().out

@@ -23,9 +23,18 @@ from delpezzo import (
     lines,
     make_marked_lattice,
     orbit,
+    positive_roots,
     root_from_six,
 )
-from helpers import LINE_COUNTS, backtrack_disjoint_line_sets, esum, random_word
+from delpezzo.geometry import _triples_summing_to
+from helpers import (
+    LINE_COUNTS,
+    backtrack_disjoint_line_sets,
+    esum,
+    random_word,
+    root_paired_double_sixes,
+    set_and_sort_triples,
+)
 
 RANKS = range(3, 9)
 
@@ -233,3 +242,43 @@ def test_standard_double_six_is_listed():
         2 * M.h - (esum(6, range(1, 7)) - M.e(i)) for i in range(1, 7)
     )
     assert (first, second) in double_sixes(M)
+
+
+def test_double_sixes_match_root_pairing_oracle():
+    M = make_marked_lattice(6)
+    assert double_sixes(M) == root_paired_double_sixes(M)
+
+
+def test_plus_level_set_of_a_root_is_its_six():
+    M = make_marked_lattice(6)
+    vecs = [c.vector for c in lines(M)]
+    roots = positive_roots(M)
+    assert len(roots) == 36
+    for rho in roots:
+        plus = [v for v in vecs if inner(v, rho.vector) == 1]
+        assert root_from_six(plus, M).vector == rho.vector
+
+
+def test_coplanar_triples_match_set_oracle():
+    M = make_marked_lattice(6)
+    assert coplanar_triples(M) == set_and_sort_triples(
+        [c.vector for c in lines(M)], M.kappa
+    )
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_triples_summing_to_match_set_oracle(r):
+    """Seeded sorted subsets of the lines, with total kappa and with the sum
+    of three random lines of the subset."""
+    M = make_marked_lattice(r)
+    vecs = [c.vector for c in lines(M)]
+    rng = random.Random(400 + r)
+    found = 0
+    for _ in range(12):
+        subset = sorted(rng.sample(vecs, rng.randint(3, len(vecs))))
+        a, b, c = rng.sample(subset, 3)
+        for total in (M.kappa, a + b + c):
+            got = _triples_summing_to(subset, total)
+            assert got == set_and_sort_triples(subset, total)
+            found += len(got)
+    assert found > 0

@@ -1,8 +1,9 @@
-"""Every imported name is used.
+"""Every imported name is used, and imported once.
 
 A stdlib `ast` scan of the package (minus the `__init__.py` re-exports),
 the tests and the demos: a name bound by an import statement must be read
-somewhere in the same file, as a name or inside a string annotation.
+somewhere in the same file, as a name or inside a string annotation, and
+no two import statements in one file may bind the same name.
 """
 
 import ast
@@ -19,17 +20,32 @@ FILES = sorted(
 )
 
 
-def _imported(tree: ast.Module) -> dict[str, int]:
-    """Bound name -> line of every import outside `from __future__`."""
-    out = {}
+def _bindings(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) for every name an import outside `from __future__` binds."""
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                out[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            out += [(a.asname or a.name.partition(".")[0], node.lineno) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                out[alias.asname or alias.name] = node.lineno
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
     return out
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of an import that binds it."""
+    return dict(_bindings(tree))
+
+
+def _imported_twice(tree: ast.Module) -> list[str]:
+    """Names bound by more than one import, with the lines that bind them."""
+    where: dict[str, list[int]] = {}
+    for name, line in _bindings(tree):
+        where.setdefault(name, []).append(line)
+    return sorted(
+        f"{name} (lines {', '.join(map(str, sorted(lines)))})"
+        for name, lines in where.items()
+        if len(lines) > 1
+    )
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -63,3 +79,17 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import isqrt, lcm\nx: 'lcm' = 1\n")
     assert set(_imported(tree)) - _read(tree) == {"os", "isqrt"}
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_name_imported_twice(path):
+    twice = _imported_twice(ast.parse(path.read_text(), filename=str(path)))
+    assert not twice, f"{path.name} imports names more than once: {', '.join(twice)}"
+
+
+def test_scan_flags_a_name_imported_twice():
+    tree = ast.parse(
+        "import os\nimport random\nfrom math import gcd\n"
+        "def f():\n    import random\n    from os import sep as os\n"
+    )
+    assert _imported_twice(tree) == ["os (lines 1, 6)", "random (lines 2, 5)"]

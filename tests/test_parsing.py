@@ -46,8 +46,6 @@ def test_format_beyond_rank_8():
 
 
 def test_round_trip_random():
-    import random
-
     rng = random.Random(42)
     for _ in range(300):
         r = rng.randint(3, 8)

@@ -8,6 +8,7 @@ from delpezzo import (
     coplanar_triples,
     cubic_form_support,
     degree,
+    dual_basis_lifts,
     dual_partner,
     fundamental_weight_lift,
     highest_root,
@@ -16,7 +17,7 @@ from delpezzo import (
     orbit,
     weight_evaluations,
 )
-from helpers import ROOT_COUNTS
+from helpers import ROOT_COUNTS, set_and_sort_triples
 
 RANKS = range(3, 9)
 
@@ -182,6 +183,12 @@ def test_cubic_form_support_matches_triples():
     assert set(support) == set(coplanar_triples(M))
     with pytest.raises(DomainError):
         cubic_form_support(make_marked_lattice(5))
+
+
+def test_cubic_form_support_matches_set_oracle():
+    M = make_marked_lattice(6)
+    weights = orbit(dual_basis_lifts(M)[4], M)
+    assert cubic_form_support(M) == set_and_sort_triples(weights, M.kappa)
 
 
 def test_central_characters():
