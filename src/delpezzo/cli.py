@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import Sequence
@@ -96,17 +97,6 @@ def _handle_orbit(args, lattice):
     return {"weight": args.weight}, {}, [str(u) for u in members], {}
 
 
-def _weight_item(args, lattice, i):
-    lift = fundamental_weight_lift(lattice, i)
-    return {
-        "index": i,
-        "lift": str(lift.vector),
-        "evaluations": list(weight_evaluations(lift, lattice)),
-        "degree": degree(lift.vector, lattice),
-        "central_character": central_character(lift, lattice),
-    }
-
-
 def _handle_weights(args, lattice):
     if args.adjoint:
         system = adjoint_weight_system(lattice)
@@ -128,9 +118,15 @@ def _handle_weights(args, lattice):
             "kappa_multiple": witness.multiple,
         }
         return {"fundamental": i, "mode": "dual"}, {}, [item], {}
-    item = _weight_item(args, lattice, i)
+    lift = fundamental_weight_lift(lattice, i)
+    item = {
+        "index": i,
+        "lift": str(lift.vector),
+        "evaluations": list(weight_evaluations(lift, lattice)),
+        "degree": degree(lift.vector, lattice),
+        "central_character": central_character(lift, lattice),
+    }
     if args.minuscule:
-        lift = fundamental_weight_lift(lattice, i)
         item["minuscule"] = is_minuscule(lift, lattice)
         if item["minuscule"]:
             item["orbit_size"] = len(orbit(lift.vector, lattice, cap=_orbit_cap()))
@@ -170,13 +166,10 @@ def _parse_assignments(args, r) -> list[TorsionPoint]:
         sym, eq, value = raw.partition("=")
         if not eq:
             raise DomainError(f"assignment {raw!r} must look like h=1/3,0")
-        if sym == "h":
-            idx = 0
-        elif sym.startswith("e") and sym[1:].isdigit() and 1 <= int(sym[1:]) <= r:
-            idx = int(sym[1:])
-        else:
+        m = re.fullmatch(r"h|e(\d+)", sym)
+        if not m or m[1] and not 1 <= int(m[1]) <= r:
             raise DomainError(f"unknown basis symbol {sym!r} for r = {r}")
-        points[idx] = TorsionPoint.parse(value)
+        points[int(m[1] or 0)] = TorsionPoint.parse(value)
     return points
 
 

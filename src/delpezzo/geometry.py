@@ -69,10 +69,6 @@ def conics(lattice: MarkedLattice) -> list[CurveClass]:
     return enumerate_classes(lattice, 0, 2)
 
 
-def _line_vectors(lattice: MarkedLattice) -> list[LatticeVector]:
-    return [c.vector for c in lines(lattice)]
-
-
 def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
     """Unordered line triples summing to kappa (r = 6 only).
 
@@ -81,7 +77,7 @@ def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
     """
     if lattice.r != 6:
         raise DomainError("coplanar triples require r = 6")
-    return _triples_summing_to(_line_vectors(lattice), lattice.kappa)
+    return _triples_summing_to(vectors_of_type(lattice, -1, 1), lattice.kappa)
 
 
 def _triples_summing_to(
@@ -113,9 +109,9 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
     index-ascending tuples in lexicographic order, which is the order of
     the sets' sorted member tuples; no sort is needed.
     """
-    if not 1 <= k <= lattice.r:
+    if not (isinstance(k, int) and 1 <= k <= lattice.r):
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
-    vecs = _line_vectors(lattice)
+    vecs = vectors_of_type(lattice, -1, 1)
     ts = [v.coeffs() for v in vecs]
     later = [
         sum(1 << j for j in range(i + 1, len(ts)) if not _form(ts[i], ts[j]))
@@ -205,7 +201,7 @@ def double_sixes(
     """
     if lattice.r != 6:
         raise DomainError("double sixes require r = 6")
-    vecs = _line_vectors(lattice)
+    vecs = vectors_of_type(lattice, -1, 1)
     pairs = []
     for rho in positive_roots(lattice):
         plus = [v for v in vecs if inner(v, rho.vector) == 1]

@@ -14,6 +14,7 @@ are ints by construction are wrapped by the unchecked _vector.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,7 +113,7 @@ def basis_h(r: int) -> LatticeVector:
 
 def basis_e(r: int, i: int) -> LatticeVector:
     """Unit vector e_i, 1-based index."""
-    if not 1 <= i <= r:
+    if not (isinstance(i, int) and 1 <= i <= r):
         raise DomainError(f"basis index e{i} outside 1..{r}")
     return LatticeVector(0, tuple(1 if j == i else 0 for j in range(1, r + 1)))
 
@@ -161,6 +162,8 @@ def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> s
 #
 # Vectors print and parse as sign-joined terms like "3h-e1-2e8"; an omitted
 # coefficient means 1, an omitted basis term means 0, the zero vector is "0".
+# _TERM matches one term: sign, magnitude, then h (group 3) or e<index> (4).
+_TERM = re.compile(r"([+-]?)(\d*)(?:(h)|e(\d*))?")
 
 
 @lru_cache(maxsize=None)
@@ -181,48 +184,31 @@ def format_vector(v: LatticeVector) -> str:
 def parse_vector(text: str, r: int) -> LatticeVector:
     """Parse the `3h-e1-2e8` syntax back into a rank-r vector.
 
-    Exact round-trip partner of format_vector.  Raises VectorParseError
-    with the offset of the first offending character.
+    Exact round-trip partner of format_vector.  Grammar: terms
+    `[+-]? digits? (h | e digits)`, a sign required after the first term,
+    digits being those int() reads.  Raises VectorParseError with the
+    offset of the first offending character.
     """
     if text == "0":
         return zero_vector(r)
     if not text:
         raise VectorParseError(text, 0, "empty vector text")
-    coeff_h = 0
-    coeff_e = [0] * r
+    coeffs = [0] * (r + 1)
     i = 0
-    first = True
     while i < len(text):
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-        elif not first:
+        m = _TERM.match(text, i)
+        sign, mag, h, idx = m.groups()
+        if i and not sign:
             raise VectorParseError(text, i, "expected '+' or '-' between terms")
-        j = i
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        mag = int(text[i:j]) if j > i else 1
-        if j >= len(text):
-            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
-        if text[j] == "h":
-            coeff_h += sign * mag
-            i = j + 1
-        elif text[j] == "e":
-            k = j + 1
-            while k < len(text) and text[k].isdigit():
-                k += 1
-            if k == j + 1:
-                raise VectorParseError(text, j + 1, "expected index digits after 'e'")
-            idx = int(text[j + 1 : k])
-            if not 1 <= idx <= r:
-                raise VectorParseError(text, j + 1, f"index e{idx} outside 1..{r}")
-            coeff_e[idx - 1] += sign * mag
-            i = k
-        else:
-            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
-        first = False
-    return _vector((coeff_h, *coeff_e))
+        if not h and idx is None:
+            raise VectorParseError(text, m.end(), "expected basis symbol 'h' or 'e<i>'")
+        slot = 0 if h else int(idx or 0)
+        if not h and not 1 <= slot <= r:
+            reason = f"index e{slot} outside 1..{r}" if idx else "expected index digits after 'e'"
+            raise VectorParseError(text, m.start(4), reason)
+        coeffs[slot] += int(sign + (mag or "1"))
+        i = m.end()
+    return _vector(tuple(coeffs))
 
 
 # --- marked lattice ---------------------------------------------------------
@@ -284,23 +270,13 @@ def dual_basis_lifts(lattice: MarkedLattice) -> tuple[LatticeVector, ...]:
     representatives (h - e_1, 2h - e_1 - e_2, e_{i+1} + ... + e_r, h).
     """
     r = lattice.r
-    lifts = []
-    for i in range(1, r + 1):
-        if i == 1:
-            v = basis_h(r) - basis_e(r, 1)
-        elif i == 2:
-            v = 2 * basis_h(r) - basis_e(r, 1) - basis_e(r, 2)
-        elif i == r:
-            v = basis_h(r)
-        else:
-            v = zero_vector(r)
-            for j in range(i + 1, r + 1):
-                v = v + basis_e(r, j)
-        lifts.append(v)
+    h, e = basis_h(r), [basis_e(r, i) for i in range(1, r + 1)]
+    tail = (sum(e[i:], zero_vector(r)) for i in range(3, r))
+    lifts = (h - e[0], 2 * h - e[0] - e[1], *tail, h)
     for i, w in enumerate(lifts, 1):
         for j, alpha in enumerate(lattice.simple_coroots, 1):
             assert inner(w, alpha) == (1 if i == j else 0), (i, j)
-    return tuple(lifts)
+    return lifts
 
 
 # --- discriminant data ------------------------------------------------------
@@ -342,10 +318,9 @@ def _dual_combination(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVe
     r = lattice.r
     if len(psi) != r:
         raise DomainError(f"psi must have {r} entries, got {len(psi)}")
-    v = zero_vector(r)
-    for value, w in zip(psi, dual_basis_lifts(lattice)):
-        v = v + value * w
-    return v
+    if not all(isinstance(x, int) for x in psi):
+        raise DomainError(f"psi entries must be integers, got {psi!r}")
+    return sum(map(mul, psi, dual_basis_lifts(lattice)), zero_vector(r))
 
 
 def shift_to_degree(v: LatticeVector, deg: int, lattice: MarkedLattice) -> LatticeVector | None:
@@ -393,6 +368,8 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
     recursion prunes on partial sums, squares and parity.  a and each c_i
     run upwards, so the vectors come out sorted.
     """
+    if not (isinstance(norm, int) and isinstance(deg, int)):
+        raise DomainError(f"norm and degree must be integers, got {norm!r} and {deg!r}")
     r = lattice.r
     disc = r * (deg * deg - (9 - r) * norm)
     if disc < 0:

@@ -40,7 +40,7 @@ def fundamental_weight_lift(lattice: MarkedLattice, i: int) -> WeightLift:
     w_i = e_{i+1}+...+e_r for 3 <= i < r (disjoint lines), w_r = h
     (twisted cubic).
     """
-    if not 1 <= i <= lattice.r:
+    if not (isinstance(i, int) and 1 <= i <= lattice.r):
         raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
     return WeightLift(dual_basis_lifts(lattice)[i - 1], i)
 
@@ -106,20 +106,19 @@ def dual_partner(i: int, lattice: MarkedLattice) -> DualPartner:
     lift shifted by a kappa multiple; reversing the descent word gives the
     Weyl element of the witness equation.
     """
-    lifts = dual_basis_lifts(lattice)
-    if not 1 <= i <= lattice.r:
+    if not (isinstance(i, int) and 1 <= i <= lattice.r):
         raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
+    lifts = dual_basis_lifts(lattice)
     dom, descent = dominant_representative(-lifts[i - 1], lattice)
-    evals = tuple(inner(dom, a) for a in lattice.simple_coroots)
+    evals = weight_evaluations(dom, lattice)
     if sorted(evals) != [0] * (lattice.r - 1) + [1]:
         raise InternalError(f"-w{i} descends to non-fundamental weight {dom}")
     j = evals.index(1) + 1
     shift = dom - lifts[j - 1]
     if shift.coeff_h % 3 != 0 or shift != (shift.coeff_h // 3) * lattice.kappa:
         raise InternalError(f"descent of -w{i} is not a kappa shift of w{j}")
-    m = shift.coeff_h // 3
     word = tuple(reversed(descent))
-    n = -m
+    n = -(shift.coeff_h // 3)
     assert lifts[i - 1] + apply_word(word, lifts[j - 1], lattice) == n * lattice.kappa
     return DualPartner(i, j, word, n)
 

@@ -49,7 +49,7 @@ def parse_word(text: str) -> Word:
         return ()
     out = []
     for token in text.split(","):
-        if len(token) < 2 or token[0] != "s" or not token[1:].isdigit():
+        if len(token) < 2 or token[0] != "s" or not token[1:].isdecimal():
             raise DomainError(f"bad word token {token!r}; expected like 's1'")
         out.append(int(token[1:]))
     return tuple(out)
@@ -159,7 +159,7 @@ def _reverse_search(dom: Coeffs) -> list[Coeffs]:
 
 
 def _check_index(i: int, lattice: MarkedLattice) -> None:
-    if not 1 <= i <= lattice.r:
+    if not (isinstance(i, int) and 1 <= i <= lattice.r):
         raise DomainError(f"simple reflection index {i} outside 1..{lattice.r}")
 
 

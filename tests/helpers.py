@@ -18,6 +18,7 @@ from delpezzo import (
     MarkedLattice,
     OrbitCapError,
     SubOrbit,
+    VectorParseError,
     basis_e,
     basis_h,
     inner,
@@ -26,6 +27,7 @@ from delpezzo import (
     root_from_six,
     zero_vector,
 )
+from delpezzo.lattice import _vector
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -179,6 +181,52 @@ def two_pass_format_vector(v: LatticeVector) -> str:
     for sign, body in parts[1:]:
         out += sign + body
     return out
+
+
+def scan_parse_vector(text: str, r: int) -> LatticeVector:
+    """The `3h-e1-2e8` syntax read by a character scanner; oracle for
+    lattice.parse_vector.  It tests digits with str.isdigit but converts
+    them with int(), so a digit such as '²' that int() rejects makes it
+    raise ValueError instead of VectorParseError."""
+    if text == "0":
+        return zero_vector(r)
+    if not text:
+        raise VectorParseError(text, 0, "empty vector text")
+    coeff_h = 0
+    coeff_e = [0] * r
+    i = 0
+    first = True
+    while i < len(text):
+        sign = 1
+        if text[i] in "+-":
+            sign = -1 if text[i] == "-" else 1
+            i += 1
+        elif not first:
+            raise VectorParseError(text, i, "expected '+' or '-' between terms")
+        j = i
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        mag = int(text[i:j]) if j > i else 1
+        if j >= len(text):
+            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
+        if text[j] == "h":
+            coeff_h += sign * mag
+            i = j + 1
+        elif text[j] == "e":
+            k = j + 1
+            while k < len(text) and text[k].isdigit():
+                k += 1
+            if k == j + 1:
+                raise VectorParseError(text, j + 1, "expected index digits after 'e'")
+            idx = int(text[j + 1 : k])
+            if not 1 <= idx <= r:
+                raise VectorParseError(text, j + 1, f"index e{idx} outside 1..{r}")
+            coeff_e[idx - 1] += sign * mag
+            i = k
+        else:
+            raise VectorParseError(text, j, "expected basis symbol 'h' or 'e<i>'")
+        first = False
+    return _vector((coeff_h, *coeff_e))
 
 
 def bfs_orbit(

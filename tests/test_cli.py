@@ -249,12 +249,24 @@ def test_version(capsys):
         ["roots"],
         ["bogus", "--r", "6"],
         ["roots", "--r", "6", "--format", "xml"],
+        # '²' passes str.isdigit but not int()
+        ["orbit", "--r", "6", "--weight", "²h"],
+        ["degenerate", "--r", "6", "--curves", "e1-e²"],
+        ["period", "--r", "6", "--assign", "e²=1/2,0"],
     ],
     ids=" ".join,
 )
 def test_usage_errors_exit_2_with_empty_stdout(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_period_reads_any_decimal_index(capsys):
+    assign = ("--assign", "e6=1/2,0")
+    plain = run_json(capsys, "period", "--r", "6", "--assign", "e1=1/2,0", *assign)
+    for sym in ("e01", "e١"):
+        report = run_json(capsys, "period", "--r", "6", "--assign", f"{sym}=1/2,0", *assign)
+        assert report == plain
 
 
 def test_timing_is_the_last_key_and_one_table_line(capsys):

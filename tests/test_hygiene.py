@@ -1,9 +1,12 @@
-"""Every imported name is used, and imported once.
+"""Every imported name is used, and imported once; the package never
+calls str.isdigit.
 
 A stdlib `ast` scan of the package (minus the `__init__.py` re-exports),
 the tests and the demos: a name bound by an import statement must be read
 somewhere in the same file, as a name or inside a string annotation, and
-no two import statements in one file may bind the same name.
+no two import statements in one file may bind the same name.  The package
+itself must not call `.isdigit()`: it accepts digits such as '²' that
+int() rejects, so a digit test built on it lets int() raise ValueError.
 """
 
 import ast
@@ -18,6 +21,8 @@ FILES = sorted(
     for p in ROOT.glob(pattern)
     if p != ROOT / "src" / "delpezzo" / "__init__.py"
 )
+
+PACKAGE = sorted((ROOT / "src" / "delpezzo").glob("*.py"))
 
 
 def _bindings(tree: ast.Module) -> list[tuple[str, int]]:
@@ -93,3 +98,28 @@ def test_scan_flags_a_name_imported_twice():
         "def f():\n    import random\n    from os import sep as os\n"
     )
     assert _imported_twice(tree) == ["os (lines 1, 6)", "random (lines 2, 5)"]
+
+
+def _isdigit_calls(tree: ast.Module) -> list[int]:
+    """Lines of every call of a method named isdigit."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "isdigit"
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_never_calls_isdigit(path):
+    lines = _isdigit_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls .isdigit() on lines {lines}; use .isdecimal() or \\d"
+
+
+def test_scan_flags_an_isdigit_call():
+    tree = ast.parse(
+        "s = 'e2'\nok = s[1:].isdecimal()\nif s[1:].isdigit():\n    name = 'isdigit'\n"
+        "test = str.isdigit\n"
+    )
+    assert _isdigit_calls(tree) == [3]

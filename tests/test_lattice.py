@@ -7,18 +7,23 @@ from delpezzo import (
     DomainError,
     LatticeVector,
     anticanonical,
+    apply_word,
     basis_e,
     basis_h,
     degree,
     discriminant_data,
+    disjoint_line_sets,
     dual_basis_lifts,
+    dual_partner,
     euler_char,
     expand_in_simple,
+    fundamental_weight_lift,
     inner,
     lift_character,
     lift_weight,
     make_marked_lattice,
     vectors_of_type,
+    word_matrix,
     zero_vector,
 )
 from delpezzo.lattice import _form
@@ -118,6 +123,8 @@ def test_basis_index_outside_range():
         basis_e(6, 7)
     with pytest.raises(DomainError):
         basis_e(6, 0)
+    with pytest.raises(DomainError, match=r"basis index e1\.5 outside 1\.\.6"):
+        basis_e(6, 1.5)
 
 
 def test_tuple_form_matches_plain_loop():
@@ -269,6 +276,37 @@ def test_lifts_reject_wrong_length_psi(psi):
     with pytest.raises(DomainError) as exc:
         lift_weight(psi, M)
     assert str(exc.value) == message
+
+
+M6 = make_marked_lattice(6)
+NON_INT_ENTRY_POINTS = {
+    "basis_e": lambda x: basis_e(6, x),
+    "MarkedLattice.e": lambda x: M6.e(x),
+    "disjoint_line_sets": lambda x: disjoint_line_sets(M6, x),
+    "fundamental_weight_lift": lambda x: fundamental_weight_lift(M6, x),
+    "dual_partner": lambda x: dual_partner(x, M6),
+    "apply_word": lambda x: apply_word([x], M6.h, M6),
+    "word_matrix": lambda x: word_matrix([x], M6),
+    "vectors_of_type norm": lambda x: vectors_of_type(M6, -x, 1),
+    "vectors_of_type degree": lambda x: vectors_of_type(M6, -1, x),
+    "lift_weight": lambda x: lift_weight((x, 0, 0, 0, 0, 0), M6),
+    "lift_character": lambda x: lift_character(1, (0, 0, 0, 0, 0, x), M6),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0])
+@pytest.mark.parametrize("entry", sorted(NON_INT_ENTRY_POINTS))
+def test_float_arguments_raise_domain_error(entry, value):
+    with pytest.raises(DomainError):
+        NON_INT_ENTRY_POINTS[entry](value)
+
+
+def test_bool_arguments_count_as_ints():
+    # bool is an int subclass, and LatticeVector accepts it as one too
+    assert basis_e(6, True) == basis_e(6, 1)
+    assert lift_weight((True, 0, 0, 0, 0, 0), M6) == lift_weight((1, 0, 0, 0, 0, 0), M6)
+    assert vectors_of_type(M6, -True, True) == vectors_of_type(M6, -1, 1)
+    assert apply_word([True], M6.e(1), M6) == M6.e(2)
 
 
 def test_euler_char():

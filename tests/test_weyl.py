@@ -50,6 +50,9 @@ def test_word_syntax():
         parse_word("t1")
     with pytest.raises(DomainError):
         parse_word("s1,,s2")
+    with pytest.raises(DomainError):
+        parse_word("s1,s²")
+    assert parse_word("s١,s3") == (1, 3)
 
 
 def test_reflect_examples():
