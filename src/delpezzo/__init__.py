@@ -6,182 +6,24 @@ degenerations, representation weights and torsion period points.
 Everything is computed over exact integers and rationals.
 """
 
-from .errors import (
-    ConfigurationError,
-    ConstraintError,
-    DomainError,
-    InternalError,
-    LatticeError,
-    OrbitCapError,
-    VectorParseError,
-)
-from .lattice import (
-    DiscriminantData,
-    LatticeVector,
-    MarkedLattice,
-    anticanonical,
-    basis_e,
-    basis_h,
-    degree,
-    discriminant_data,
-    dual_basis_lifts,
-    euler_char,
-    format_vector,
-    inner,
-    lift_character,
-    lift_weight,
-    make_marked_lattice,
-    parse_vector,
-    vectors_of_type,
-    zero_vector,
-)
-from .roots import (
-    DynkinType,
-    Root,
-    RootSystemData,
-    cartan_matrix,
-    dynkin_type,
-    enumerate_roots,
-    expand_in_simple,
-    highest_root,
-    positive_roots,
-    root_height,
-    root_system,
-)
-from .weyl import (
-    DEFAULT_ORBIT_CAP,
-    Word,
-    apply_word,
-    connect_markings,
-    dominant_representative,
-    format_word,
-    is_dominant,
-    orbit,
-    orbit_of_set,
-    parse_word,
-    reflect,
-    word_matrix,
-)
-from .geometry import (
-    BlowdownBasis,
-    CurveClass,
-    blowdown_basis,
-    conics,
-    coplanar_triples,
-    disjoint_line_sets,
-    double_sixes,
-    enumerate_classes,
-    lines,
-    root_from_six,
-)
-from .degeneration import (
-    RdpConfiguration,
-    SubOrbit,
-    incident_lines,
-    make_configuration,
-    orbit_decomposition,
-)
-from .weights import (
-    DualPartner,
-    WeightLift,
-    WeightSystem,
-    adjoint_weight_system,
-    central_character,
-    cubic_form_support,
-    dual_partner,
-    fundamental_weight_lift,
-    is_minuscule,
-    weight_evaluations,
-)
-from .period import (
-    PeriodHomomorphism,
-    TorsionPoint,
-    evaluate,
-    make_period,
-    restrict_to_coroots,
-    weyl_canonicalize,
-)
+from . import degeneration, errors, geometry, lattice, period, roots, weights, weyl
+from .errors import *
+from .lattice import *
+from .roots import *
+from .weyl import *
+from .geometry import *
+from .degeneration import *
+from .weights import *
+from .period import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowdownBasis",
-    "ConfigurationError",
-    "ConstraintError",
-    "CurveClass",
-    "DEFAULT_ORBIT_CAP",
-    "DiscriminantData",
-    "DomainError",
-    "DualPartner",
-    "DynkinType",
-    "InternalError",
-    "LatticeError",
-    "LatticeVector",
-    "MarkedLattice",
-    "OrbitCapError",
-    "PeriodHomomorphism",
-    "RdpConfiguration",
-    "Root",
-    "RootSystemData",
-    "SubOrbit",
-    "TorsionPoint",
-    "VectorParseError",
-    "WeightLift",
-    "WeightSystem",
-    "Word",
-    "adjoint_weight_system",
-    "anticanonical",
-    "apply_word",
-    "basis_e",
-    "basis_h",
-    "blowdown_basis",
-    "cartan_matrix",
-    "central_character",
-    "conics",
-    "connect_markings",
-    "coplanar_triples",
-    "cubic_form_support",
-    "degree",
-    "discriminant_data",
-    "disjoint_line_sets",
-    "dominant_representative",
-    "double_sixes",
-    "dual_basis_lifts",
-    "dual_partner",
-    "dynkin_type",
-    "enumerate_classes",
-    "enumerate_roots",
-    "euler_char",
-    "evaluate",
-    "expand_in_simple",
-    "format_vector",
-    "format_word",
-    "fundamental_weight_lift",
-    "highest_root",
-    "incident_lines",
-    "inner",
-    "is_dominant",
-    "is_minuscule",
-    "lift_character",
-    "lift_weight",
-    "lines",
-    "make_configuration",
-    "make_marked_lattice",
-    "make_period",
-    "orbit",
-    "orbit_decomposition",
-    "orbit_of_set",
-    "parse_vector",
-    "parse_word",
-    "positive_roots",
-    "reflect",
-    "restrict_to_coroots",
-    "root_from_six",
-    "root_height",
-    "root_system",
-    "vectors_of_type",
-    "weight_evaluations",
-    "weyl_canonicalize",
-    "word_matrix",
-    "zero_vector",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += lattice.__all__
+__all__ += roots.__all__
+__all__ += weyl.__all__
+__all__ += geometry.__all__
+__all__ += degeneration.__all__
+__all__ += weights.__all__
+__all__ += period.__all__

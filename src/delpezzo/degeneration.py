@@ -17,6 +17,14 @@ from .lattice import LatticeVector, MarkedLattice, _coeffs, _vector, _vector_of,
 from .roots import DynkinType, Root, dynkin_type
 from .weyl import _reflect_in
 
+__all__ = [
+    "RdpConfiguration",
+    "SubOrbit",
+    "incident_lines",
+    "make_configuration",
+    "orbit_decomposition",
+]
+
 
 @dataclass(frozen=True)
 class RdpConfiguration:

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ConfigurationError",
+    "ConstraintError",
+    "DomainError",
+    "InternalError",
+    "LatticeError",
+    "OrbitCapError",
+    "VectorParseError",
+]
+
 
 class LatticeError(Exception):
     """Base class for all errors raised by this package."""

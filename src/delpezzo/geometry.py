@@ -26,6 +26,19 @@ from .lattice import (
 )
 from .roots import Root, positive_roots
 
+__all__ = [
+    "BlowdownBasis",
+    "CurveClass",
+    "blowdown_basis",
+    "conics",
+    "coplanar_triples",
+    "disjoint_line_sets",
+    "double_sixes",
+    "enumerate_classes",
+    "lines",
+    "root_from_six",
+]
+
 
 @dataclass(frozen=True, order=True)
 class CurveClass:

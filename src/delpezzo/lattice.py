@@ -24,6 +24,27 @@ from typing import Callable, Iterable
 
 from .errors import DomainError, OrbitCapError, VectorParseError
 
+__all__ = [
+    "DiscriminantData",
+    "LatticeVector",
+    "MarkedLattice",
+    "anticanonical",
+    "basis_e",
+    "basis_h",
+    "degree",
+    "discriminant_data",
+    "dual_basis_lifts",
+    "euler_char",
+    "format_vector",
+    "inner",
+    "lift_character",
+    "lift_weight",
+    "make_marked_lattice",
+    "parse_vector",
+    "vectors_of_type",
+    "zero_vector",
+]
+
 MIN_RANK = 3
 MAX_RANK = 8
 
@@ -143,6 +164,8 @@ def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> s
     are already known, so an orbit of size n > max(cap, 1) reports
     max(cap, 1) found whatever order the search takes.
     """
+    if not (cap is None or isinstance(cap, int)):
+        raise DomainError(f"cap must be an integer, got {cap!r}")
     seen = {start}
     frontier = [start]
     while frontier:
@@ -326,6 +349,8 @@ def _dual_combination(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVe
 def shift_to_degree(v: LatticeVector, deg: int, lattice: MarkedLattice) -> LatticeVector | None:
     """The vector v + m*kappa of degree `deg`, or None when deg is not
     congruent to the degree of v mod 9-r (kappa has degree 9-r)."""
+    if not isinstance(deg, int):
+        raise DomainError(f"degree must be an integer, got {deg!r}")
     diff = deg - degree(v, lattice)
     if diff % lattice.d != 0:
         return None
@@ -389,8 +414,8 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
 
 
 def _coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()] if total == 0 and total_sq == 0 else []
+    if k == 1:
+        return [(total,)] if total * total == total_sq else []
     sols = []
     bound = isqrt(total_sq)
     for c in range(-bound, bound + 1):

@@ -22,6 +22,15 @@ from typing import Sequence
 from .errors import ConstraintError, DomainError
 from .lattice import LatticeVector, MarkedLattice, anticanonical, closure, inner
 
+__all__ = [
+    "PeriodHomomorphism",
+    "TorsionPoint",
+    "evaluate",
+    "make_period",
+    "restrict_to_coroots",
+    "weyl_canonicalize",
+]
+
 DEFAULT_PERIOD_CAP = 1_000_000
 
 

@@ -24,6 +24,20 @@ from .lattice import (
     vectors_of_type,
 )
 
+__all__ = [
+    "DynkinType",
+    "Root",
+    "RootSystemData",
+    "cartan_matrix",
+    "dynkin_type",
+    "enumerate_roots",
+    "expand_in_simple",
+    "highest_root",
+    "positive_roots",
+    "root_height",
+    "root_system",
+]
+
 
 @dataclass(frozen=True, order=True)
 class Root:

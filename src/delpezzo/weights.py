@@ -24,6 +24,19 @@ from .lattice import (
 from .roots import enumerate_roots, highest_root
 from .weyl import Word, apply_word, dominant_representative, is_dominant, orbit
 
+__all__ = [
+    "DualPartner",
+    "WeightLift",
+    "WeightSystem",
+    "adjoint_weight_system",
+    "central_character",
+    "cubic_form_support",
+    "dual_partner",
+    "fundamental_weight_lift",
+    "is_minuscule",
+    "weight_evaluations",
+]
+
 
 @dataclass(frozen=True, order=True)
 class WeightLift:

@@ -14,6 +14,7 @@ all use this one kernel.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
@@ -24,14 +25,26 @@ from .lattice import (
     _coeffs,
     _form,
     _vector,
-    basis_e,
-    basis_h,
     closure,
     dual_basis_lifts,
-    inner,
     make_marked_lattice,
 )
 from .roots import Root, as_root_vector, dynkin_type
+
+__all__ = [
+    "DEFAULT_ORBIT_CAP",
+    "Word",
+    "apply_word",
+    "connect_markings",
+    "dominant_representative",
+    "format_word",
+    "is_dominant",
+    "orbit",
+    "orbit_of_set",
+    "parse_word",
+    "reflect",
+    "word_matrix",
+]
 
 Word = tuple[int, ...]
 Coeffs = tuple[int, ...]
@@ -182,6 +195,8 @@ def orbit(
     OrbitCapError is raised when it exceeds max(cap, 1).  Otherwise the
     orbit is enumerated by reverse search from the dominant representative.
     """
+    if not isinstance(cap, int):
+        raise DomainError(f"cap must be an integer, got {cap!r}")
     dom, _ = _descend(_coeffs(v, lattice))
     size = _orbit_size(dom)
     limit = max(cap, 1)
@@ -261,27 +276,22 @@ def connect_markings(
     r = lattice.r
     if len(matrix) != r + 1 or any(len(row) != r + 1 for row in matrix):
         raise DomainError(f"matrix must be {r + 1}x{r + 1}")
-    images = [
-        LatticeVector(matrix[0][j], tuple(matrix[i][j] for i in range(1, r + 1)))
-        for j in range(r + 1)
-    ]
-    basis = [basis_h(r)] + [basis_e(r, i) for i in range(1, r + 1)]
-    for i in range(r + 1):
+    columns = [LatticeVector(col[0], col[1:]).coeffs() for col in zip(*matrix)]
+    for i, t in enumerate(columns):
         for j in range(i, r + 1):
-            if inner(images[i], images[j]) != inner(basis[i], basis[j]):
+            if _form(t, columns[j]) != (i == j) * (1 if i == 0 else -1):
                 raise DomainError("matrix does not preserve the intersection form")
-    kappa_image = 3 * images[0]
-    for img in images[1:]:
-        kappa_image = kappa_image - img
-    if kappa_image != lattice.kappa:
-        raise DomainError("matrix does not fix kappa")
 
-    columns = [img.coeffs() for img in images]
+    def image(v: Coeffs) -> Coeffs:
+        return tuple(sum(map(mul, row, v)) for row in matrix)
+
+    kappa = lattice.kappa.coeffs()
+    if image(kappa) != kappa:
+        raise DomainError("matrix does not fix kappa")
     # A strictly dominant vector has trivial stabilizer, so matching its
     # image pins the group element uniquely.
     regular = tuple(map(sum, zip(*(w.coeffs() for w in dual_basis_lifts(lattice)))))
-    image = tuple(sum(c * col[i] for c, col in zip(regular, columns)) for i in range(r + 1))
-    dom, descent = _descend(image)
+    dom, descent = _descend(image(regular))
     if dom != regular:
         raise InternalError("isometry is not a Weyl element; kappa-fixing guarantee broken")
     word = tuple(reversed(descent))

@@ -11,7 +11,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, isqrt
 
 from delpezzo import (
     LatticeVector,
@@ -107,6 +107,23 @@ def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVec
             if a * a - sum(c * c for c in tail) == norm and 3 * a + sum(tail) == deg:
                 out.add(v)
     return out
+
+
+def recursive_coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
+    """Every (c_1, ..., c_k) with sum `total` and sum of squares `total_sq`,
+    in lexicographic order: the search down to k = 0 that
+    lattice._coeff_solutions replaced by solving for the last c_i."""
+    if k == 0:
+        return [()] if total == 0 and total_sq == 0 else []
+    sols = []
+    bound = isqrt(total_sq)
+    for c in range(-bound, bound + 1):
+        rest, rest_sq = total - c, total_sq - c * c
+        if rest * rest > (k - 1) * rest_sq or (rest - rest_sq) % 2 != 0:
+            continue
+        for tail in recursive_coeff_solutions(k - 1, rest, rest_sq):
+            sols.append((c, *tail))
+    return sols
 
 
 def _boxes(k: int, box: int):

@@ -1,10 +1,12 @@
-"""Every imported name is used, and imported once; the package never
-calls str.isdigit.
+"""Every imported name is used, and imported once; `import *` appears only
+in the package's `__init__.py`; the package never calls str.isdigit.
 
 A stdlib `ast` scan of the package (minus the `__init__.py` re-exports),
 the tests and the demos: a name bound by an import statement must be read
 somewhere in the same file, as a name or inside a string annotation, and
-no two import statements in one file may bind the same name.  The package
+no two import statements in one file may bind the same name.  Only
+`__init__.py` star-imports, and each module it star-imports declares its
+public names in `__all__`, so a helper cannot leak into `delpezzo`.  The package
 itself must not call `.isdigit()`: it accepts digits such as '²' that
 int() rejects, so a digit test built on it lets int() raise ValueError.
 """
@@ -23,6 +25,7 @@ FILES = sorted(
 )
 
 PACKAGE = sorted((ROOT / "src" / "delpezzo").glob("*.py"))
+INIT = ROOT / "src" / "delpezzo" / "__init__.py"
 
 
 def _bindings(tree: ast.Module) -> list[tuple[str, int]]:
@@ -98,6 +101,45 @@ def test_scan_flags_a_name_imported_twice():
         "def f():\n    import random\n    from os import sep as os\n"
     )
     assert _imported_twice(tree) == ["os (lines 1, 6)", "random (lines 2, 5)"]
+
+
+def _star_imports(tree: ast.Module) -> list[str]:
+    """Modules named by a `from ... import *`, with their leading dots."""
+    return sorted(
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+    )
+
+
+def _defines_all(tree: ast.Module) -> bool:
+    """Whether the module assigns `__all__` at top level."""
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for node in tree.body
+    )
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_star_import_outside_the_package_init(path):
+    stars = _star_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not stars, f"{path.name} star-imports {', '.join(stars)}; only __init__.py may"
+
+
+def test_star_imported_modules_define_all():
+    stars = _star_imports(ast.parse(INIT.read_text(), filename=str(INIT)))
+    assert stars
+    paths = [INIT.parent / f"{m.lstrip('.')}.py" for m in stars]
+    missing = [p.name for p in paths if not _defines_all(ast.parse(p.read_text()))]
+    assert not missing, f"__init__.py star-imports modules without __all__: {missing}"
+
+
+def test_scan_flags_a_star_import_and_a_missing_all():
+    tree = ast.parse("from os import *\nfrom .lattice import *\nfrom math import isqrt\n")
+    assert _star_imports(tree) == [".lattice", "os"]
+    assert _defines_all(ast.parse("import os\n__all__ = ['f']\n"))
+    assert not _defines_all(ast.parse("def f():\n    __all__ = []\n"))
 
 
 def _isdigit_calls(tree: ast.Module) -> list[int]:

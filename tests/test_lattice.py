@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from delpezzo import (
     DomainError,
     LatticeVector,
+    TorsionPoint,
     anticanonical,
     apply_word,
     basis_e,
@@ -22,12 +24,16 @@ from delpezzo import (
     lift_character,
     lift_weight,
     make_marked_lattice,
+    make_period,
+    orbit,
+    orbit_of_set,
     vectors_of_type,
+    weyl_canonicalize,
     word_matrix,
     zero_vector,
 )
-from delpezzo.lattice import _form
-from helpers import LINE_COUNTS, brute_force_classes
+from delpezzo.lattice import _coeff_solutions, _form
+from helpers import LINE_COUNTS, brute_force_classes, recursive_coeff_solutions
 
 RANKS = range(3, 9)
 
@@ -291,6 +297,12 @@ NON_INT_ENTRY_POINTS = {
     "vectors_of_type degree": lambda x: vectors_of_type(M6, -1, x),
     "lift_weight": lambda x: lift_weight((x, 0, 0, 0, 0, 0), M6),
     "lift_character": lambda x: lift_character(1, (0, 0, 0, 0, 0, x), M6),
+    "lift_character degree": lambda x: lift_character(x, (0,) * 6, M6),
+    "orbit cap": lambda x: orbit(M6.h, M6, cap=x),
+    "orbit_of_set cap": lambda x: orbit_of_set([M6.h], M6, cap=x),
+    "weyl_canonicalize cap": lambda x: weyl_canonicalize(
+        make_period([TorsionPoint.zero()] * 7), M6, cap=x
+    ),
 }
 
 
@@ -323,6 +335,25 @@ def test_vectors_of_type_against_box_scan(r):
         got = vectors_of_type(make_marked_lattice(r), norm, deg)
         assert list(got) == sorted(got)
         assert set(got) == brute_force_classes(r, norm, deg, 4)
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_coeff_solutions_match_the_recursive_oracle(r, monkeypatch):
+    # every tail vectors_of_type asks for: adjunction types deg = norm + 2,
+    # two types off it, and a negative discriminant
+    types = [(norm, norm + 2) for norm in range(-2, 4)]
+    types += {6: [(0, 0), (5, 0)], 7: [(1, 1)]}.get(r, [])
+    M = make_marked_lattice(r)
+    got = [vectors_of_type(M, norm, deg) for norm, deg in types]
+    monkeypatch.setattr("delpezzo.lattice._coeff_solutions", recursive_coeff_solutions)
+    assert got == [vectors_of_type(M, norm, deg) for norm, deg in types]
+
+
+def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
+    for k, total, total_sq in product(range(1, 5), range(-4, 5), range(10)):
+        assert _coeff_solutions(k, total, total_sq) == recursive_coeff_solutions(
+            k, total, total_sq
+        )
 
 
 def test_vectors_of_type_negative_discriminant_is_empty():

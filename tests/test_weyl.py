@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -368,6 +369,26 @@ def test_connect_markings_rejects_bad_input():
         connect_markings(flip, M)
     with pytest.raises(DomainError):
         connect_markings([[1]], M)
+
+
+def test_connect_markings_error_texts_and_order():
+    M = make_marked_lattice(6)
+    ident = [list(row) for row in word_matrix((), M)]
+    skew = [row[:] for row in ident]
+    skew[0][0] = 2  # breaks the form and moves kappa: the form is checked first
+    flip = [[-x for x in row] for row in ident]
+    floats = [row[:] for row in skew]
+    floats[1][5] = 2.5
+    floats[3][3] = 1.0  # column 3 is read before column 5
+    cases = [
+        ([[1]], "matrix must be 7x7"),
+        (skew, "matrix does not preserve the intersection form"),
+        (flip, "matrix does not fix kappa"),
+        (floats, "vector coefficients must be integers, got 1.0"),
+    ]
+    for matrix, text in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            connect_markings(matrix, M)
 
 
 def test_weyl_kernel_rejects_non_integer_coefficients():
