@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 from typing import Sequence
 
 from . import __version__
@@ -186,6 +187,7 @@ def _handle_period(args, lattice):
     return {"canonical": bool(args.canonical)}, {}, items, extra
 
 
+@lru_cache(maxsize=None)  # built on the first run, then shared by every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delpezzo", description="exact del Pezzo lattice reports"

@@ -43,12 +43,12 @@ class VectorParseError(DomainError):
 
 
 class OrbitCapError(LatticeError, RuntimeError):
-    """An orbit search exceeded its element cap.
+    """An orbit search needed more elements than its cap admits.
 
-    `partial_count` is how many elements had been found when the cap hit,
-    which is max(cap, 1).  `weyl.orbit` raises it before any search: it
-    compares the orbit size |W|/|W_J| of the dominant representative with
-    the cap first, and reports the same count.
+    `partial_count` is the limit of the one cap rule, lattice._cap_limit:
+    `cap` elements, and at least one.  `lattice.closure` raises it when a
+    new element turns up at the limit, `weyl.orbit` before any search when
+    the predicted orbit size |W|/|W_J| is over it.
     """
 
     def __init__(self, cap: int, partial_count: int):

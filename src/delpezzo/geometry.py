@@ -51,23 +51,14 @@ class CurveClass:
         return cls(v, inner(v, v), degree(v, lattice))
 
 
-def enumerate_classes(
-    lattice: MarkedLattice,
-    self_int: int,
-    deg: int,
-    *,
-    check_adjunction: bool = True,
-) -> list[CurveClass]:
-    """All classes with the given self-intersection and degree.
+def enumerate_classes(lattice: MarkedLattice, self_int: int, deg: int) -> list[CurveClass]:
+    """All smooth rational classes with the given self-intersection and degree.
 
-    Smooth rational classes satisfy self_int - deg = -2 (adjunction); pass
-    check_adjunction=False to search outside that family.
+    Such classes satisfy self_int - deg = -2 (adjunction), and any other
+    pair raises DomainError; vectors_of_type lists vectors of any type.
     """
-    if check_adjunction and self_int - deg != -2:
-        raise DomainError(
-            f"self_int - degree = {self_int - deg} != -2; "
-            "pass check_adjunction=False to search anyway"
-        )
+    if self_int - deg != -2:
+        raise DomainError(f"self_int - degree = {self_int - deg} != -2 (adjunction)")
     return [
         CurveClass(v, self_int, deg) for v in vectors_of_type(lattice, self_int, deg)
     ]
@@ -126,9 +117,10 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
     vecs = vectors_of_type(lattice, -1, 1)
     ts = [v.coeffs() for v in vecs]
+    # A 1-clique is never extended, so k = 1 reads no mask.
     later = [
         sum(1 << j for j in range(i + 1, len(ts)) if not _form(ts[i], ts[j]))
-        for i in range(len(ts))
+        for i in range(len(ts) if k > 1 else 0)
     ]
     out: list[frozenset[LatticeVector]] = []
     chosen: list[LatticeVector] = []

@@ -156,16 +156,21 @@ def inner(a: LatticeVector, b: LatticeVector) -> int:
     return _form(a.coeffs(), b.coeffs())
 
 
+def _cap_limit(cap: int) -> int:
+    """The cap rule: an int cap admits `cap` elements, and at least one."""
+    if not isinstance(cap, int):
+        raise DomainError(f"cap must be an integer, got {cap!r}")
+    return max(cap, 1)
+
+
 def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> set:
     """Every element reachable from `start` under `images`, by breadth-first search.
 
     `images(x)` gives the neighbours of x.  With a cap, OrbitCapError(cap,
-    len(seen)) is raised when a new element turns up while `cap` elements
-    are already known, so an orbit of size n > max(cap, 1) reports
-    max(cap, 1) found whatever order the search takes.
+    limit) is raised when a new element turns up while the limit of
+    _cap_limit is already held, whatever order the search takes.
     """
-    if not (cap is None or isinstance(cap, int)):
-        raise DomainError(f"cap must be an integer, got {cap!r}")
+    limit = None if cap is None else _cap_limit(cap)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -173,8 +178,8 @@ def closure(start, images: Callable[..., Iterable], cap: int | None = None) -> s
         for x in frontier:
             for y in images(x):
                 if y not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise OrbitCapError(cap, len(seen))
+                    if limit is not None and len(seen) >= limit:
+                        raise OrbitCapError(cap, limit)
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt

@@ -20,7 +20,9 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError
-from .lattice import LatticeVector, MarkedLattice, anticanonical, closure, inner
+from .lattice import LatticeVector, MarkedLattice, anticanonical, closure
+from .roots import cartan_matrix
+from .weyl import DEFAULT_ORBIT_CAP
 
 __all__ = [
     "PeriodHomomorphism",
@@ -30,8 +32,6 @@ __all__ = [
     "restrict_to_coroots",
     "weyl_canonicalize",
 ]
-
-DEFAULT_PERIOD_CAP = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -169,23 +169,22 @@ def restrict_to_coroots(
 def weyl_canonicalize(
     period: PeriodHomomorphism,
     lattice: MarkedLattice,
-    cap: int = DEFAULT_PERIOD_CAP,
+    cap: int = DEFAULT_ORBIT_CAP,
 ) -> tuple[TorsionPoint, ...]:
     """Least coroot-value tuple over the orbit of precompositions by W.
 
     Precomposing with the reflection s_j sends the value tuple v to
     v_i + <alpha_i, alpha_j> v_j: it negates v_j, adds v_j to the Dynkin
-    neighbours of j and leaves the rest alone, so it fixes tuples with
-    v_j = 0.  Breadth-first closure (lattice.closure) under these maps on
+    neighbours of j (Cartan entry -1) and leaves the rest alone, so it
+    fixes tuples with v_j = 0.  Breadth-first closure (lattice.closure) under these maps on
     tuples of packed residues, capped at `cap` tuples; only the least tuple
     is turned back into TorsionPoints.
     """
     n, start = _coroot_residues(period, lattice)
     nn = n * n
-    coroots = lattice.simple_coroots
     moves = [
-        (j, [i for i, b in enumerate(coroots) if inner(b, a) == 1])
-        for j, a in enumerate(coroots)
+        (j, [i for i, c in enumerate(row) if c == -1])
+        for j, row in enumerate(cartan_matrix(lattice))
     ]
 
     def images(tup):

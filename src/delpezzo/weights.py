@@ -119,20 +119,19 @@ def dual_partner(i: int, lattice: MarkedLattice) -> DualPartner:
     lift shifted by a kappa multiple; reversing the descent word gives the
     Weyl element of the witness equation.
     """
-    if not (isinstance(i, int) and 1 <= i <= lattice.r):
-        raise DomainError(f"fundamental index {i} outside 1..{lattice.r}")
-    lifts = dual_basis_lifts(lattice)
-    dom, descent = dominant_representative(-lifts[i - 1], lattice)
+    wi = fundamental_weight_lift(lattice, i).vector
+    dom, descent = dominant_representative(-wi, lattice)
     evals = weight_evaluations(dom, lattice)
     if sorted(evals) != [0] * (lattice.r - 1) + [1]:
         raise InternalError(f"-w{i} descends to non-fundamental weight {dom}")
     j = evals.index(1) + 1
-    shift = dom - lifts[j - 1]
+    wj = fundamental_weight_lift(lattice, j).vector
+    shift = dom - wj
     if shift.coeff_h % 3 != 0 or shift != (shift.coeff_h // 3) * lattice.kappa:
         raise InternalError(f"descent of -w{i} is not a kappa shift of w{j}")
     word = tuple(reversed(descent))
     n = -(shift.coeff_h // 3)
-    assert lifts[i - 1] + apply_word(word, lifts[j - 1], lattice) == n * lattice.kappa
+    assert wi + apply_word(word, wj, lattice) == n * lattice.kappa
     return DualPartner(i, j, word, n)
 
 

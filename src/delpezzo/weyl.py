@@ -21,6 +21,7 @@ from .errors import DomainError, InternalError, OrbitCapError
 from .lattice import (
     LatticeVector,
     MarkedLattice,
+    _cap_limit,
     _check_same_rank,
     _coeffs,
     _form,
@@ -191,15 +192,13 @@ def orbit(
     """Weyl orbit of v, in lexicographic order.
 
     The orbit size |W|/|W_J|, J the zero labels of the dominant
-    representative, is checked against the cap before any work:
-    OrbitCapError is raised when it exceeds max(cap, 1).  Otherwise the
-    orbit is enumerated by reverse search from the dominant representative.
+    representative, is checked against the limit of lattice._cap_limit
+    before any work.  Otherwise the orbit is enumerated by reverse search
+    from the dominant representative.
     """
-    if not isinstance(cap, int):
-        raise DomainError(f"cap must be an integer, got {cap!r}")
+    limit = _cap_limit(cap)
     dom, _ = _descend(_coeffs(v, lattice))
     size = _orbit_size(dom)
-    limit = max(cap, 1)
     if size > limit:
         raise OrbitCapError(cap, limit)
     found = _reverse_search(dom)
@@ -220,7 +219,7 @@ def orbit_of_set(
     multisets; used for transitivity checks on line k-tuples.
     Breadth-first closure (lattice.closure) of the sorted tuple of
     coefficient tuples under the simple reflections; raises
-    OrbitCapError once more than `cap` elements have been found.
+    OrbitCapError once it needs more elements than the cap admits.
     """
     start = tuple(_coeffs(u, lattice) for u in sorted(vectors))
     gens = range(1, lattice.r + 1)

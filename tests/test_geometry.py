@@ -25,6 +25,7 @@ from delpezzo import (
     orbit,
     positive_roots,
     root_from_six,
+    vectors_of_type,
 )
 from delpezzo.geometry import _triples_summing_to
 from helpers import (
@@ -79,7 +80,7 @@ def test_adjunction_guard():
     # -2 - 0 = -2, so the root search passes the guard as well
     roots = enumerate_classes(M, -2, 0)
     assert len(roots) == 72
-    assert enumerate_classes(M, 0, 1, check_adjunction=False) == []
+    assert vectors_of_type(M, 0, 1) == []
 
 
 def test_twisted_cubics_r5():

@@ -1,9 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from delpezzo import (
+    DEFAULT_ORBIT_CAP,
     ConstraintError,
     DomainError,
     LatticeVector,
@@ -17,6 +19,8 @@ from delpezzo import (
     inner,
     make_marked_lattice,
     make_period,
+    orbit,
+    orbit_of_set,
     restrict_to_coroots,
     weyl_canonicalize,
 )
@@ -329,6 +333,11 @@ def test_canonicalize_cap_boundary_matches_oracle():
         assert _cap_outcome(weyl_canonicalize, period, M, cap) == want
         # the oracle finds exactly `size` tuples: it raises below that cap only
         assert (want[0] == "cap") == (cap < size)
+
+
+def test_every_capped_search_defaults_to_the_orbit_cap():
+    for fn in (orbit, orbit_of_set, weyl_canonicalize):
+        assert inspect.signature(fn).parameters["cap"].default == DEFAULT_ORBIT_CAP
 
 
 def test_canonicalize_generic_r6_is_weyl_invariant():

@@ -380,9 +380,12 @@ def test_connect_markings_error_texts_and_order():
     floats = [row[:] for row in skew]
     floats[1][5] = 2.5
     floats[3][3] = 1.0  # column 3 is read before column 5
+    stretch = [row[:] for row in ident]
+    stretch[6][6] = 2  # column r is 2e_r: only its own square breaks the form
     cases = [
         ([[1]], "matrix must be 7x7"),
         (skew, "matrix does not preserve the intersection form"),
+        (stretch, "matrix does not preserve the intersection form"),
         (flip, "matrix does not fix kappa"),
         (floats, "vector coefficients must be integers, got 1.0"),
     ]
