@@ -23,13 +23,13 @@ from . import __version__
 from .degeneration import incident_lines, make_configuration, orbit_decomposition
 from .errors import DomainError, OrbitCapError
 from .geometry import (
+    _check_adjunction,
     coplanar_triples,
     disjoint_line_sets,
     double_sixes,
-    enumerate_classes,
     lines,
 )
-from .lattice import _symbols, degree, make_marked_lattice, parse_vector
+from .lattice import _symbols, _texts_of_type, degree, make_marked_lattice, parse_vector
 from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
 from .roots import enumerate_roots, positive_roots
 from .weights import (
@@ -67,13 +67,13 @@ def _handle_roots(args, lattice):
 
 
 def _handle_lines(args, lattice):
-    return {}, {}, [str(c.vector) for c in lines(lattice)], {}
+    return {}, {}, _texts_of_type(lattice.r, -1, 1), {}
 
 
 def _handle_classes(args, lattice):
-    found = enumerate_classes(lattice, args.self_int, args.degree)
+    _check_adjunction(args.self_int, args.degree)
     query = {"self_int": args.self_int, "degree": args.degree}
-    return query, {}, [str(c.vector) for c in found], {}
+    return query, {}, _texts_of_type(lattice.r, args.self_int, args.degree), {}
 
 
 def _handle_triples(args, lattice):

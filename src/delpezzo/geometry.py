@@ -57,11 +57,17 @@ def enumerate_classes(lattice: MarkedLattice, self_int: int, deg: int) -> list[C
     Such classes satisfy self_int - deg = -2 (adjunction), and any other
     pair raises DomainError; vectors_of_type lists vectors of any type.
     """
-    if self_int - deg != -2:
-        raise DomainError(f"self_int - degree = {self_int - deg} != -2 (adjunction)")
+    _check_adjunction(self_int, deg)
     return [
         CurveClass(v, self_int, deg) for v in vectors_of_type(lattice, self_int, deg)
     ]
+
+
+def _check_adjunction(self_int: int, deg: int) -> None:
+    """Raise DomainError unless self_int - deg = -2, the adjunction type of
+    a smooth rational curve."""
+    if self_int - deg != -2:
+        raise DomainError(f"self_int - degree = {self_int - deg} != -2 (adjunction)")
 
 
 def lines(lattice: MarkedLattice) -> list[CurveClass]:

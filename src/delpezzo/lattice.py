@@ -10,6 +10,11 @@ point, so invariants hold exactly.
 Exactness is checked once, in the LatticeVector constructor, which
 raises DomainError for any coefficient that is not an int; results that
 are ints by construction are wrapped by the unchecked _vector.
+
+Vectors of a given type come from one enumeration of int tuples
+(a, c_1, ..., c_r), _tuples_of_type.  Only the library boundary,
+vectors_of_type, wraps them as vectors; the CLI formats the tuples
+straight to text through _format_tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import DomainError, OrbitCapError, VectorParseError
 
@@ -200,13 +205,27 @@ def _symbols(r: int) -> tuple[str, ...]:
     return ("h", *(f"e{i}" for i in range(1, r + 1)))
 
 
+def _term(c: int, sym: str) -> str:
+    """The term of coefficient c on basis symbol sym: '' for 0, else its
+    sign, its magnitude unless that is 1, then the symbol."""
+    return f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{sym}" if c else ""
+
+
 def format_vector(v: LatticeVector) -> str:
-    text = "".join(
-        f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{s}"
-        for c, s in zip(v.coeffs(), _symbols(v.rank))
-        if c
-    )
-    return text.lstrip("+") or "0"
+    return "".join(map(_term, v.coeffs(), _symbols(v.rank))).lstrip("+") or "0"
+
+
+def _format_tuples(
+    r: int, values: Collection[int], tuples: Iterable[tuple[int, ...]]
+) -> list[str]:
+    """format_vector of each rank-r tuple (a, c_1, ..., c_r), with no vector built.
+
+    Every coefficient must lie in `values`.  The terms come from a table
+    built for this call, one dict per slot from each value to its _term.
+    """
+    table = [{c: _term(c, s) for c in values} for s in _symbols(r)]
+    get = dict.__getitem__
+    return ["".join(map(get, table, t)).lstrip("+") or "0" for t in tuples]
 
 
 def parse_vector(text: str, r: int) -> LatticeVector:
@@ -392,21 +411,46 @@ def euler_char(v: LatticeVector, lattice: MarkedLattice) -> int:
 def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[LatticeVector]:
     """All v with <v,v> = norm and <v,kappa> = deg, in lexicographic order.
 
-    Writing v = a*h + sum c_i e_i the constraints read
-    sum c_i = deg - 3a and sum c_i^2 = a^2 - norm, so Cauchy-Schwarz
-    confines a to a finite interval and the c_i to a finite box; the
-    recursion prunes on partial sums, squares and parity.  a and each c_i
-    run upwards, so the vectors come out sorted.
+    The vectors are those of _tuples_of_type, the package's one
+    enumeration of a type, wrapped here at the library boundary.
     """
     if not (isinstance(norm, int) and isinstance(deg, int)):
         raise DomainError(f"norm and degree must be integers, got {norm!r} and {deg!r}")
-    r = lattice.r
+    return list(map(_vector, _tuples_of_type(lattice.r, norm, deg)))
+
+
+def _texts_of_type(r: int, norm: int, deg: int) -> list[str]:
+    """format_vector of every vector of the type, in lexicographic order,
+    formatted from the tuples with no vector built."""
+    heights = _heights(r, norm, deg)
+    top = max(abs(heights.start), abs(heights.stop - 1))
+    # |a| <= top and c_i^2 <= a^2 - norm bound every coefficient
+    bound = isqrt(top * top + abs(norm))
+    return _format_tuples(r, range(-bound, bound + 1), _tuples_of_type(r, norm, deg))
+
+
+def _heights(r: int, norm: int, deg: int) -> range:
+    """A range of h-coefficients a that holds every vector of the type.
+
+    Writing v = a*h + sum c_i e_i the constraints read sum c_i = deg - 3a
+    and sum c_i^2 = a^2 - norm, so Cauchy-Schwarz, (deg - 3a)^2 <=
+    r (a^2 - norm), confines a to a finite interval.
+    """
     disc = r * (deg * deg - (9 - r) * norm)
     if disc < 0:
-        return []
+        return range(0)
     s = isqrt(disc)
-    out: list[LatticeVector] = []
-    for a in range((3 * deg - s) // (9 - r) - 1, (3 * deg + s) // (9 - r) + 2):
+    return range((3 * deg - s) // (9 - r) - 1, (3 * deg + s) // (9 - r) + 2)
+
+
+def _tuples_of_type(r: int, norm: int, deg: int) -> Iterator[tuple[int, ...]]:
+    """Every (a, c_1, ..., c_r) with a^2 - sum c_i^2 = norm and
+    3a + sum c_i = deg, in lexicographic order.
+
+    a runs over _heights and the tail comes from _coeff_solutions, so the
+    tuples come out sorted; one list of tails is held at a time.
+    """
+    for a in _heights(r, norm, deg):
         need_sum = deg - 3 * a
         need_sq = a * a - norm
         if need_sq < 0 or need_sum * need_sum > r * need_sq:
@@ -414,19 +458,41 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
         if (need_sum - need_sq) % 2 != 0:
             continue
         for tail in _coeff_solutions(r, need_sum, need_sq):
-            out.append(_vector((a, *tail)))
-    return out
+            yield (a, *tail)
 
 
 def _coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
-    if k == 1:
-        return [(total,)] if total * total == total_sq else []
-    sols = []
+    """Every (c_1, ..., c_k) with sum `total` and sum of squares `total_sq`,
+    in lexicographic order; k >= 2."""
+    out: list[tuple[int, ...]] = []
+    _push_solutions(out.append, k, total, total_sq, ())
+    return out
+
+
+def _push_solutions(push, k: int, total: int, total_sq: int, head: tuple[int, ...]) -> None:
+    """push(head + tail) for each tail of _coeff_solutions(k, total, total_sq), in order.
+
+    The recursion prunes on Cauchy-Schwarz and parity down to the last
+    pair, which is solved in closed form: from c + d = s and
+    c^2 + d^2 = q, (d - c)^2 = 2q - s^2 = t^2 and c = (s - t)/2.  The
+    pair is integral whenever t is, since t^2 = 2q - s^2 forces t and s
+    to have the same parity.
+    """
+    if k == 2:
+        t_sq = 2 * total_sq - total * total
+        if t_sq < 0:
+            return
+        t = isqrt(t_sq)
+        if t * t != t_sq:
+            return
+        c = (total - t) // 2
+        push((*head, c, total - c))
+        if t:
+            push((*head, total - c, c))
+        return
     bound = isqrt(total_sq)
     for c in range(-bound, bound + 1):
         rest, rest_sq = total - c, total_sq - c * c
         if rest * rest > (k - 1) * rest_sq or (rest - rest_sq) % 2 != 0:
             continue
-        for tail in _coeff_solutions(k - 1, rest, rest_sq):
-            sols.append((c, *tail))
-    return sols
+        _push_solutions(push, k - 1, rest, rest_sq, (*head, c))

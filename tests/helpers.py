@@ -112,7 +112,7 @@ def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVec
 def recursive_coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
     """Every (c_1, ..., c_k) with sum `total` and sum of squares `total_sq`,
     in lexicographic order: the search down to k = 0 that
-    lattice._coeff_solutions replaced by solving for the last c_i."""
+    lattice._coeff_solutions replaced by solving for the last pair."""
     if k == 0:
         return [()] if total == 0 and total_sq == 0 else []
     sols = []

@@ -4,7 +4,13 @@ import json
 import jsonschema
 import pytest
 
-from delpezzo import __version__
+from delpezzo import (
+    DomainError,
+    __version__,
+    enumerate_classes,
+    format_vector,
+    make_marked_lattice,
+)
 from delpezzo.cli import run
 
 from helpers import LINE_COUNTS, ROOT_COUNTS
@@ -61,6 +67,28 @@ def test_classes_adjunction_violation_exits_2(capsys):
     assert run(["classes", "--r", "6", "--self-int", "0", "--degree", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_classes_match_the_library_path(capsys, r):
+    # the report formats int tuples; the library wraps them as CurveClasses
+    M = make_marked_lattice(r)
+    for norm in range(-2, 4):
+        report = run_json(
+            capsys, "classes", "--r", str(r), "--self-int", str(norm), "--degree", str(norm + 2)
+        )
+        assert report["items"] == [
+            format_vector(c.vector) for c in enumerate_classes(M, norm, norm + 2)
+        ]
+
+
+@pytest.mark.parametrize("norm, deg", [(0, 1), (2, 3), (-1, -3)])
+def test_classes_off_adjunction_reports_the_library_error(capsys, norm, deg):
+    with pytest.raises(DomainError) as exc:
+        enumerate_classes(make_marked_lattice(7), norm, deg)
+    code = run(["classes", "--r", "7", "--self-int", str(norm), "--degree", str(deg)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {exc.value}\n")
 
 
 def test_triples(capsys, schema):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -350,10 +351,21 @@ def test_coeff_solutions_match_the_recursive_oracle(r, monkeypatch):
 
 
 def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
-    for k, total, total_sq in product(range(1, 5), range(-4, 5), range(10)):
+    grid = list(product(range(2, 5), range(-12, 13), range(81)))
+    for k, total, total_sq in grid:
         assert _coeff_solutions(k, total, total_sq) == recursive_coeff_solutions(
             k, total, total_sq
         )
+    # the closed-form pair's cases: t^2 = 2q - s^2 negative, not a square,
+    # q - s odd (never a sum and a sum of squares of two ints), and t = 0
+    t_sq = {(s, q): 2 * q - s * s for k, s, q in grid if k == 2}
+    assert any(v < 0 for v in t_sq.values())
+    assert any(v > 0 and isqrt(v) ** 2 != v for v in t_sq.values())
+    assert any((q - s) % 2 for s, q in t_sq)
+    assert any(v == 0 for v in t_sq.values())
+    assert _coeff_solutions(2, 6, 18) == [(3, 3)]
+    assert _coeff_solutions(2, -1, 13) == [(-3, 2), (2, -3)]
+    assert _coeff_solutions(2, 1, 2) == _coeff_solutions(2, 12, 0) == []
 
 
 def test_vectors_of_type_negative_discriminant_is_empty():

@@ -13,6 +13,7 @@ from delpezzo import (
     parse_vector,
     zero_vector,
 )
+from delpezzo.lattice import _format_tuples
 from helpers import two_pass_format_vector
 
 
@@ -66,6 +67,22 @@ def test_format_matches_two_pass_formatter():
             ))
     for v in vecs:
         assert format_vector(v) == two_pass_format_vector(v)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_term_table_matches_two_pass_formatter(r):
+    rng = random.Random(1000 + r)
+
+    def coeff():
+        return rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+
+    vecs = [zero_vector(r)] + [
+        LatticeVector(coeff(), tuple(coeff() for _ in range(r))) for _ in range(500)
+    ]
+    tuples = [v.coeffs() for v in vecs]
+    want = [two_pass_format_vector(v) for v in vecs]
+    assert [format_vector(v) for v in vecs] == want
+    assert _format_tuples(r, {c for t in tuples for c in t}, tuples) == want
 
 
 def test_parse_repeated_terms_accumulate():
