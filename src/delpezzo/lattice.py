@@ -11,8 +11,9 @@ Exactness is checked once, in the LatticeVector constructor, which
 raises DomainError for any coefficient that is not an int; results that
 are ints by construction are wrapped by the unchecked _vector.
 
-Vectors of a given type come from one enumeration of int tuples
-(a, c_1, ..., c_r), _tuples_of_type.  Only the library boundary,
+Vectors of a given type come from one depth-first generator of int
+tuples (a, c_1, ..., c_r), _tuples_of_type, which yields them in
+lexicographic order without holding them.  Only the library boundary,
 vectors_of_type, wraps them as vectors; the CLI formats the tuples
 straight to text through _format_tuples.
 """
@@ -129,16 +130,25 @@ def _check_same_rank(a: LatticeVector, b: LatticeVector) -> None:
         raise DomainError(f"rank mismatch: {a.rank} vs {b.rank}")
 
 
+def _check_rank(r: int) -> None:
+    """Any int r >= 0 is a rank here; make_marked_lattice asks for 3..8."""
+    if not isinstance(r, int) or r < 0:
+        raise DomainError(f"rank r must be a non-negative integer, got {r!r}")
+
+
 def zero_vector(r: int) -> LatticeVector:
+    _check_rank(r)
     return LatticeVector(0, (0,) * r)
 
 
 def basis_h(r: int) -> LatticeVector:
+    _check_rank(r)
     return LatticeVector(1, (0,) * r)
 
 
 def basis_e(r: int, i: int) -> LatticeVector:
     """Unit vector e_i, 1-based index."""
+    _check_rank(r)
     if not (isinstance(i, int) and 1 <= i <= r):
         raise DomainError(f"basis index e{i} outside 1..{r}")
     return LatticeVector(0, tuple(1 if j == i else 0 for j in range(1, r + 1)))
@@ -146,6 +156,7 @@ def basis_e(r: int, i: int) -> LatticeVector:
 
 def anticanonical(r: int) -> LatticeVector:
     """kappa = 3h - e_1 - ... - e_r."""
+    _check_rank(r)
     return LatticeVector(3, (-1,) * r)
 
 
@@ -236,6 +247,7 @@ def parse_vector(text: str, r: int) -> LatticeVector:
     digits being those int() reads.  Raises VectorParseError with the
     offset of the first offending character.
     """
+    _check_rank(r)
     if text == "0":
         return zero_vector(r)
     if not text:
@@ -447,52 +459,33 @@ def _tuples_of_type(r: int, norm: int, deg: int) -> Iterator[tuple[int, ...]]:
     """Every (a, c_1, ..., c_r) with a^2 - sum c_i^2 = norm and
     3a + sum c_i = deg, in lexicographic order.
 
-    a runs over _heights and the tail comes from _coeff_solutions, so the
-    tuples come out sorted; one list of tails is held at a time.
+    A depth-first search on a stack of (prefix, s, q): the k coefficients
+    after the prefix must sum to s with squares summing to q.  They exist
+    only if s - q is even, which is norm + deg mod 2 at every node (a^2 + 3a
+    and c^2 - c are even), so it is tested on the heights alone, and if
+    s^2 <= k q (Cauchy-Schwarz); for the child c that reads
+    |k c - s| <= sqrt((k - 1)(k q - s^2)).  Children are pushed in
+    decreasing c, so they pop in order.  The last pair is solved in closed
+    form: c + d = s and c^2 + d^2 = q give (d - c)^2 = 2q - s^2 = t^2 and
+    c = (s - t)/2, integral whenever t is.
     """
-    for a in _heights(r, norm, deg):
-        need_sum = deg - 3 * a
-        need_sq = a * a - norm
-        if need_sq < 0 or need_sum * need_sum > r * need_sq:
+    stack = []
+    for a in reversed(_heights(r, norm, deg)):
+        s, q = deg - 3 * a, a * a - norm
+        if s * s <= r * q and (s - q) % 2 == 0:
+            stack.append(((a,), s, q))
+    while stack:
+        prefix, s, q = stack.pop()
+        k = r + 1 - len(prefix)
+        if k > 2:
+            m = isqrt((k - 1) * (k * q - s * s))
+            for c in range((s + m) // k, (s - m - 1) // k, -1):
+                stack.append(((*prefix, c), s - c, q - c * c))
             continue
-        if (need_sum - need_sq) % 2 != 0:
-            continue
-        for tail in _coeff_solutions(r, need_sum, need_sq):
-            yield (a, *tail)
-
-
-def _coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
-    """Every (c_1, ..., c_k) with sum `total` and sum of squares `total_sq`,
-    in lexicographic order; k >= 2."""
-    out: list[tuple[int, ...]] = []
-    _push_solutions(out.append, k, total, total_sq, ())
-    return out
-
-
-def _push_solutions(push, k: int, total: int, total_sq: int, head: tuple[int, ...]) -> None:
-    """push(head + tail) for each tail of _coeff_solutions(k, total, total_sq), in order.
-
-    The recursion prunes on Cauchy-Schwarz and parity down to the last
-    pair, which is solved in closed form: from c + d = s and
-    c^2 + d^2 = q, (d - c)^2 = 2q - s^2 = t^2 and c = (s - t)/2.  The
-    pair is integral whenever t is, since t^2 = 2q - s^2 forces t and s
-    to have the same parity.
-    """
-    if k == 2:
-        t_sq = 2 * total_sq - total * total
-        if t_sq < 0:
-            return
+        t_sq = 2 * q - s * s
         t = isqrt(t_sq)
-        if t * t != t_sq:
-            return
-        c = (total - t) // 2
-        push((*head, c, total - c))
-        if t:
-            push((*head, total - c, c))
-        return
-    bound = isqrt(total_sq)
-    for c in range(-bound, bound + 1):
-        rest, rest_sq = total - c, total_sq - c * c
-        if rest * rest > (k - 1) * rest_sq or (rest - rest_sq) % 2 != 0:
-            continue
-        _push_solutions(push, k - 1, rest, rest_sq, (*head, c))
+        if t * t == t_sq:
+            c = (s - t) // 2
+            yield (*prefix, c, s - c)
+            if t:
+                yield (*prefix, s - c, c)

@@ -112,12 +112,11 @@ def expand_in_simple(alpha: Root | LatticeVector, lattice: MarkedLattice) -> tup
 
 
 def positive_roots(lattice: MarkedLattice) -> list[Root]:
-    """Roots whose simple-coroot coordinates are all non-negative."""
-    return [
-        root
-        for root in enumerate_roots(lattice)
-        if all(c >= 0 for c in expand_in_simple(root, lattice))
-    ]
+    """Roots whose simple-coroot coordinates are all non-negative: the
+    upper half of enumerate_roots, since every simple coroot is positive
+    in the lexicographic order, which addition preserves."""
+    roots = enumerate_roots(lattice)
+    return roots[len(roots) // 2 :]
 
 
 def root_height(alpha: Root | LatticeVector, lattice: MarkedLattice) -> int:

@@ -17,10 +17,13 @@ from delpezzo import (
     LatticeVector,
     MarkedLattice,
     OrbitCapError,
+    Root,
     SubOrbit,
     VectorParseError,
     basis_e,
     basis_h,
+    enumerate_roots,
+    expand_in_simple,
     inner,
     lines,
     restrict_to_coroots,
@@ -54,6 +57,16 @@ def closed_form_positive_roots(r: int) -> set[LatticeVector]:
             3 * h - basis_e(r, i) - esum(r, range(1, 9)) for i in range(1, 9)
         }
     return out
+
+
+def positive_roots_by_coordinates(lattice: MarkedLattice) -> list[Root]:
+    """The roots whose simple-coroot coordinates are all non-negative, in
+    enumeration order: the filter roots.positive_roots replaced."""
+    return [
+        root
+        for root in enumerate_roots(lattice)
+        if all(c >= 0 for c in expand_in_simple(root, lattice))
+    ]
 
 
 def closed_form_highest_root(r: int) -> LatticeVector:
@@ -109,10 +122,27 @@ def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVec
     return out
 
 
+def recursive_tuples_of_type(r: int, norm: int, deg: int) -> list[tuple[int, ...]]:
+    """Oracle for lattice._tuples_of_type: every (a, c_1, ..., c_r) with
+    a^2 - sum c_i^2 = norm and 3a + sum c_i = deg, in lexicographic order.
+
+    For r <= 8, Cauchy-Schwarz (deg - 3a)^2 <= r (a^2 - norm) gives
+    a^2 <= 6|a||deg| + 8|norm|, so |a| <= 6|deg| + 8|norm| + 1 holds every
+    height; each is searched, not only those lattice._heights gives.
+    """
+    assert 0 < r <= 8
+    top = 6 * abs(deg) + 8 * abs(norm) + 1
+    return [
+        (a, *tail)
+        for a in range(-top, top + 1)
+        if a * a >= norm
+        for tail in recursive_coeff_solutions(r, deg - 3 * a, a * a - norm)
+    ]
+
+
 def recursive_coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[int, ...]]:
     """Every (c_1, ..., c_k) with sum `total` and sum of squares `total_sq`,
-    in lexicographic order: the search down to k = 0 that
-    lattice._coeff_solutions replaced by solving for the last pair."""
+    in lexicographic order, by a search down to k = 0 with no closed form."""
     if k == 0:
         return [()] if total == 0 and total_sq == 0 else []
     sols = []

@@ -1,7 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 import pytest
 
@@ -28,13 +28,14 @@ from delpezzo import (
     make_period,
     orbit,
     orbit_of_set,
+    parse_vector,
     vectors_of_type,
     weyl_canonicalize,
     word_matrix,
     zero_vector,
 )
-from delpezzo.lattice import _coeff_solutions, _form
-from helpers import LINE_COUNTS, brute_force_classes, recursive_coeff_solutions
+from delpezzo.lattice import _form, _tuples_of_type
+from helpers import LINE_COUNTS, brute_force_classes, recursive_tuples_of_type
 
 RANKS = range(3, 9)
 
@@ -58,6 +59,20 @@ def test_rank_bounds():
         make_marked_lattice(2)
     with pytest.raises(DomainError):
         make_marked_lattice(9)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, "6", None])
+def test_vector_builders_reject_a_bad_rank(bad):
+    message = f"rank r must be a non-negative integer, got {bad!r}"
+    builders = [zero_vector, basis_h, anticanonical, lambda r: basis_e(r, 1)]
+    builders += [lambda r: parse_vector("h", r), lambda r: parse_vector("0", r)]
+    for build in builders:
+        with pytest.raises(DomainError) as info:
+            build(bad)
+        assert str(info.value) == message
+    # ranks outside 3..8 stay allowed for vectors; only lattices need 3..8
+    assert zero_vector(0) == LatticeVector(0, ())
+    assert parse_vector("h-e12", 12) == basis_h(12) - basis_e(12, 12)
 
 
 @pytest.mark.parametrize("r", RANKS)
@@ -339,33 +354,38 @@ def test_vectors_of_type_against_box_scan(r):
 
 
 @pytest.mark.parametrize("r", RANKS)
-def test_coeff_solutions_match_the_recursive_oracle(r, monkeypatch):
-    # every tail vectors_of_type asks for: adjunction types deg = norm + 2,
-    # two types off it, and a negative discriminant
-    types = [(norm, norm + 2) for norm in range(-2, 4)]
-    types += {6: [(0, 0), (5, 0)], 7: [(1, 1)]}.get(r, [])
-    M = make_marked_lattice(r)
-    got = [vectors_of_type(M, norm, deg) for norm, deg in types]
-    monkeypatch.setattr("delpezzo.lattice._coeff_solutions", recursive_coeff_solutions)
-    assert got == [vectors_of_type(M, norm, deg) for norm, deg in types]
+def test_coeff_solutions_match_the_recursive_oracle(r):
+    # the adjunction types deg = norm + 2, two types off them, and (5, 0),
+    # whose discriminant r (deg^2 - (9 - r) norm) is negative; at r = 8
+    # norms 4..6 hold 1.1 M to 5.9 M tuples, too many for the oracle here
+    norms = range(-3, 7 if r < 8 else 4)
+    types = [(norm, norm + 2) for norm in norms] + [(0, 0), (5, 0), (1, 1)]
+    for norm, deg in types:
+        assert list(_tuples_of_type(r, norm, deg)) == recursive_tuples_of_type(r, norm, deg)
 
 
 def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
-    grid = list(product(range(2, 5), range(-12, 13), range(81)))
-    for k, total, total_sq in grid:
-        assert _coeff_solutions(k, total, total_sq) == recursive_coeff_solutions(
-            k, total, total_sq
-        )
-    # the closed-form pair's cases: t^2 = 2q - s^2 negative, not a square,
-    # q - s odd (never a sum and a sum of squares of two ints), and t = 0
-    t_sq = {(s, q): 2 * q - s * s for k, s, q in grid if k == 2}
-    assert any(v < 0 for v in t_sq.values())
-    assert any(v > 0 and isqrt(v) ** 2 != v for v in t_sq.values())
-    assert any((q - s) % 2 for s, q in t_sq)
-    assert any(v == 0 for v in t_sq.values())
-    assert _coeff_solutions(2, 6, 18) == [(3, 3)]
-    assert _coeff_solutions(2, -1, 13) == [(-3, 2), (2, -3)]
-    assert _coeff_solutions(2, 1, 2) == _coeff_solutions(2, 12, 0) == []
+    for r, norm, deg in product(range(3, 6), range(-6, 9), range(-6, 9)):
+        got = list(_tuples_of_type(r, norm, deg))
+        assert got == recursive_tuples_of_type(r, norm, deg), (r, norm, deg)
+    # the closed-form pair's cases: t = |d - c| = 0 gives one pair, t = 1 two
+    assert list(_tuples_of_type(3, -3, 3)) == [(0, 1, 1, 1), (3, -2, -2, -2)]
+    assert list(_tuples_of_type(3, -1, 1)) == [
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1)
+    ]
+
+
+def test_tuples_of_type_holds_no_list_of_tuples():
+    # (8, 2, 4) has 82,560 tuples, a megabyte or more if they are held;
+    # the depth-first stack holds at most 37 prefixes
+    tracemalloc.start()
+    try:
+        for _ in _tuples_of_type(8, 2, 4):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_vectors_of_type_negative_discriminant_is_empty():

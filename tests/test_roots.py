@@ -28,6 +28,7 @@ from helpers import (
     closed_form_positive_roots,
     exact_determinant,
     exact_rank,
+    positive_roots_by_coordinates,
 )
 
 RANKS = range(3, 9)
@@ -49,6 +50,12 @@ def test_root_counts(r):
     assert len(set(roots)) == len(roots)
     vectors = [x.vector for x in roots]
     assert vectors == sorted(vectors)
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_positive_roots_match_the_coordinate_filter(r):
+    M = make_marked_lattice(r)
+    assert positive_roots(M) == positive_roots_by_coordinates(M)
 
 
 @pytest.mark.parametrize("r", RANKS)
