@@ -7,15 +7,18 @@ what connect_markings exploits to factor an isometry into a word.
 The simple reflections run on raw coefficient tuples (a, c_1, ..., c_r).
 For i < r the label <v, alpha_i> is c_{i+1} - c_i and s_i swaps c_i and
 c_{i+1}; for i = r the label is m = a + c_1 + c_2 + c_3 and s_r adds m
-to a and subtracts it from c_1, c_2, c_3.  Words, descents and orbits
-all use this one kernel.
+to a and subtracts it from c_1, c_2, c_3.  Words and descents use this
+kernel.  Orbits use its quotient by S_r = <s_1, ..., s_{r-1}>, the
+permutations of c: a Weyl orbit is the disjoint union of the S_r-orbits
+of the (a, sorted c) in it, found by closing them under s_r.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
 from .lattice import (
@@ -131,42 +134,38 @@ def _orbit_size(dom: Coeffs) -> int:
     return _parabolic_order(r, frozenset(range(1, r + 1))) // _parabolic_order(r, zeros)
 
 
-def _reverse_search(dom: Coeffs) -> list[Coeffs]:
-    """Every element of the orbit of the dominant tuple `dom`, each once.
+def _sorted_images(q: Coeffs) -> Iterator[Coeffs]:
+    """The tuples (a, sorted c) that s_r reaches from the S_r-orbit of q.
 
-    _descend gives each non-dominant u the parent s_p u, p its lowest
-    negative label.  Reversed (Avis & Fukuda), s_j u is a child of u when
-    label j of u is positive and s_j u has no negative label below j; the
-    children edges form a spanning tree of the orbit rooted at dom, so no
-    seen-set is needed.  Label i of s_j u is label i of u, plus label j
-    of u when nodes i and j are adjacent; the only node below j adjacent
-    to it is j - 1 for j < r and node 3 for j = r.
+    q = (a, c) with c sorted.  After a permutation, s_r acts on some
+    position triple i < j < k of c: with m = a + c_i + c_j + c_k it adds
+    m to a and subtracts it at i, j and k.  m = 0 gives q back.
     """
-    r = len(dom) - 1
-    found = [dom]
-    frontier = [dom]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lab = _labels(u)
-            p = r  # 0-based index of the lowest negative label, r if none
-            for k, x in enumerate(lab):
-                if x < 0:
-                    p = k
-                    break
-            for k in range(min(p + 2, r - 1)):
-                x = lab[k]
-                if x > 0 and (k < p or lab[p] + x >= 0):
-                    nxt.append(u[: k + 1] + (u[k + 2], u[k + 1]) + u[k + 3 :])
-            m = lab[-1]
-            if m > 0 and (
-                p >= r - 1
-                or (p == 2 < r - 1 and lab[2] + m >= 0 and min(lab[3:-1], default=0) >= 0)
-            ):
-                nxt.append((u[0] + m, u[1] - m, u[2] - m, u[3] - m) + u[4:])
-        found += nxt
-        frontier = nxt
-    return found
+    a, c = q[0], q[1:]
+    for i, j, k in combinations(range(len(c)), 3):
+        m = a + c[i] + c[j] + c[k]
+        if m:
+            d = list(c)
+            for n in (i, j, k):
+                d[n] -= m
+            yield (a + m, *sorted(d))
+
+
+def _arrangements(c: Coeffs, memo: dict[Coeffs, list[Coeffs]]) -> list[Coeffs]:
+    """The distinct permutations of the sorted tuple c, in lexicographic
+    order; memo holds those of each sorted sub-multiset already listed."""
+    if len(c) <= 1:
+        return [c]
+    out = memo.get(c)
+    if out is None:
+        out = []
+        for i, x in enumerate(c):
+            if i and x == c[i - 1]:
+                continue
+            head = (x,)
+            out += [head + p for p in _arrangements(c[:i] + c[i + 1 :], memo)]
+        memo[c] = out
+    return out
 
 
 # --- public API ---------------------------------------------------------------
@@ -193,17 +192,18 @@ def orbit(
 
     The orbit size |W|/|W_J|, J the zero labels of the dominant
     representative, is checked against the limit of lattice._cap_limit
-    before any work.  Otherwise the orbit is enumerated by reverse search
-    from the dominant representative.
+    before any work.  The orbit is then listed by S_r-quotient: the
+    (a, sorted c) in it are closed under s_r from the dominant one, and
+    each gives the distinct permutations of its c.
     """
     limit = _cap_limit(cap)
     dom, _ = _descend(_coeffs(v, lattice))
     size = _orbit_size(dom)
     if size > limit:
         raise OrbitCapError(cap, limit)
-    found = _reverse_search(dom)
+    found = [(q[0],) + p for q in closure(dom, _sorted_images) for p in _arrangements(q[1:], {})]
     if len(found) != size:
-        raise InternalError(f"reverse search found {len(found)} elements, |W|/|W_J| = {size}")
+        raise InternalError(f"orbit listing found {len(found)} elements, |W|/|W_J| = {size}")
     found.sort()
     return list(map(_vector, found))
 

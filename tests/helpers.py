@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, isqrt
 
 from delpezzo import (
@@ -31,6 +31,7 @@ from delpezzo import (
     zero_vector,
 )
 from delpezzo.lattice import _vector
+from delpezzo.weyl import _labels
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -112,14 +113,15 @@ def chain_parabolic_order(r: int, nodes: frozenset[int]) -> int:
 
 
 def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVector]:
-    """Plain box scan oracle; `box` bounds every coefficient magnitude."""
-    out = set()
-    for a in range(-box, box + 1):
-        for tail in _boxes(r, box):
-            v = LatticeVector(a, tail)
-            if a * a - sum(c * c for c in tail) == norm and 3 * a + sum(tail) == deg:
-                out.add(v)
-    return out
+    """Plain box scan oracle; `box` bounds every coefficient magnitude.
+    The points are tested as int tuples and only the matches are wrapped."""
+    span = range(-box, box + 1)
+    return {
+        LatticeVector(a, tail)
+        for tail in product(span, repeat=r)
+        for a in span
+        if a * a - sum(c * c for c in tail) == norm and 3 * a + sum(tail) == deg
+    }
 
 
 def recursive_tuples_of_type(r: int, norm: int, deg: int) -> list[tuple[int, ...]]:
@@ -154,15 +156,6 @@ def recursive_coeff_solutions(k: int, total: int, total_sq: int) -> list[tuple[i
         for tail in recursive_coeff_solutions(k - 1, rest, rest_sq):
             sols.append((c, *tail))
     return sols
-
-
-def _boxes(k: int, box: int):
-    if k == 0:
-        yield ()
-        return
-    for c in range(-box, box + 1):
-        for tail in _boxes(k - 1, box):
-            yield (c, *tail)
 
 
 def random_vector(rng: random.Random, r: int, span: int = 3) -> LatticeVector:
@@ -296,6 +289,45 @@ def bfs_orbit(
                     nxt.append(w)
         frontier = nxt
     return sorted(seen)
+
+
+def reverse_search_orbit(dom: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every element of the orbit of the dominant tuple `dom`, each once.
+    Oracle for weyl.orbit on orbits too large for bfs_orbit.
+
+    _descend gives each non-dominant u the parent s_p u, p its lowest
+    negative label.  Reversed (Avis & Fukuda), s_j u is a child of u when
+    label j of u is positive and s_j u has no negative label below j; the
+    children edges form a spanning tree of the orbit rooted at dom, so no
+    seen-set is needed.  Label i of s_j u is label i of u, plus label j
+    of u when nodes i and j are adjacent; the only node below j adjacent
+    to it is j - 1 for j < r and node 3 for j = r.
+    """
+    r = len(dom) - 1
+    found = [dom]
+    frontier = [dom]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            lab = _labels(u)
+            p = r  # 0-based index of the lowest negative label, r if none
+            for k, x in enumerate(lab):
+                if x < 0:
+                    p = k
+                    break
+            for k in range(min(p + 2, r - 1)):
+                x = lab[k]
+                if x > 0 and (k < p or lab[p] + x >= 0):
+                    nxt.append(u[: k + 1] + (u[k + 2], u[k + 1]) + u[k + 3 :])
+            m = lab[-1]
+            if m > 0 and (
+                p >= r - 1
+                or (p == 2 < r - 1 and lab[2] + m >= 0 and min(lab[3:-1], default=0) >= 0)
+            ):
+                nxt.append((u[0] + m, u[1] - m, u[2] - m, u[3] - m) + u[4:])
+        found += nxt
+        frontier = nxt
+    return found
 
 
 def bfs_orbit_of_set(vectors, lattice: MarkedLattice) -> list[tuple[LatticeVector, ...]]:

@@ -1,8 +1,9 @@
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -27,7 +28,8 @@ from delpezzo import (
     reflect,
     word_matrix,
 )
-from delpezzo.weyl import _parabolic_order
+from delpezzo.lattice import _vector, closure
+from delpezzo.weyl import _arrangements, _descend, _orbit_size, _parabolic_order, _sorted_images
 from helpers import (
     LINE_COUNTS,
     ROOT_COUNTS,
@@ -36,6 +38,7 @@ from helpers import (
     chain_parabolic_order,
     random_vector,
     random_word,
+    reverse_search_orbit,
 )
 
 WEYL_ORDER = {4: 120, 5: 1920, 6: 51840}
@@ -250,6 +253,57 @@ def test_orbit_matches_bfs_oracle_off_kappa_perp(r, count):
             continue
         assert got == bfs_orbit(v, M)
         done += 1
+
+
+@pytest.mark.parametrize(
+    "r, weights, size", [(8, (2,), 69_120), (8, (4,), 241_920), (6, range(1, 7), 51_840)]
+)
+def test_orbit_matches_reverse_search_on_large_orbits(r, weights, size):
+    # orbits too large for bfs_orbit: E8 w2, E8 w4 and the regular E6 orbit
+    M = make_marked_lattice(r)
+    lifts = dual_basis_lifts(M)
+    dom = sum((lifts[i - 1] for i in weights), M.zero())
+    v = apply_word(random_word(random.Random(802 + 10 * r + weights[0]), r, 30), dom, M)
+    assert v != dom
+    expected = list(map(_vector, sorted(reverse_search_orbit(dom.coeffs()))))
+    assert len(expected) == size
+    assert orbit(v, M) == expected
+
+
+def test_arrangements_are_the_distinct_permutations():
+    for n in range(1, 7):
+        for c in combinations_with_replacement(range(-2, 3), n):
+            assert _arrangements(c, {}) == sorted(set(permutations(c)))
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_sorted_images_close_over_the_sorted_orbit(r):
+    M = make_marked_lattice(r)
+    for w in dual_basis_lifts(M):
+        dom, _ = _descend(w.coeffs())
+        if _orbit_size(dom) > 250_000:
+            continue
+        expected = {(t[0], *sorted(t[1:])) for t in reverse_search_orbit(dom)}
+        assert closure(dom, _sorted_images) == expected
+        assert not any(q in _sorted_images(q) for q in expected)  # m = 0 is skipped
+
+
+def test_orbit_memory_peak_stays_at_the_listing():
+    # _arrangements gets a fresh memo for each sorted representative; one
+    # memo shared over all of them took this peak to 1.85x the listing's
+    M = make_marked_lattice(8)
+    w = dual_basis_lifts(M)[1]
+    _orbit_size(w.coeffs())  # fill the caches of the orbit-size prediction first
+    tracemalloc.start()
+    try:
+        list(map(_vector, sorted(reverse_search_orbit(w.coeffs()))))
+        listing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        orbit(w, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * listing
 
 
 @pytest.mark.parametrize("r", range(3, 9))
