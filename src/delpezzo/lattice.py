@@ -11,11 +11,13 @@ Exactness is checked once, in the LatticeVector constructor, which
 raises DomainError for any coefficient that is not an int; results that
 are ints by construction are wrapped by the unchecked _vector.
 
-Vectors of a given type come from one depth-first generator of int
-tuples (a, c_1, ..., c_r), _tuples_of_type, which yields them in
-lexicographic order without holding them.  Only the library boundary,
-vectors_of_type, wraps them as vectors; the CLI formats the tuples
-straight to text through _format_tuples.
+Vectors of a given type come from one generator, _walk, which yields
+them in lexicographic order without holding them: a depth-first walk
+over prefixes down to three free coordinates, then the tails of those,
+memoized for the call.  It joins per-slot pieces, so one walk gives the
+int tuples (a, c_1, ..., c_r) of _tuples_of_type, which vectors_of_type
+wraps at the library boundary, and the text of _texts_of_type, which the
+CLI prints with no tuple built.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OrbitCapError, VectorParseError
 
@@ -226,19 +228,6 @@ def format_vector(v: LatticeVector) -> str:
     return "".join(map(_term, v.coeffs(), _symbols(v.rank))).lstrip("+") or "0"
 
 
-def _format_tuples(
-    r: int, values: Collection[int], tuples: Iterable[tuple[int, ...]]
-) -> list[str]:
-    """format_vector of each rank-r tuple (a, c_1, ..., c_r), with no vector built.
-
-    Every coefficient must lie in `values`.  The terms come from a table
-    built for this call, one dict per slot from each value to its _term.
-    """
-    table = [{c: _term(c, s) for c in values} for s in _symbols(r)]
-    get = dict.__getitem__
-    return ["".join(map(get, table, t)).lstrip("+") or "0" for t in tuples]
-
-
 def parse_vector(text: str, r: int) -> LatticeVector:
     """Parse the `3h-e1-2e8` syntax back into a rank-r vector.
 
@@ -433,12 +422,19 @@ def vectors_of_type(lattice: MarkedLattice, norm: int, deg: int) -> list[Lattice
 
 def _texts_of_type(r: int, norm: int, deg: int) -> list[str]:
     """format_vector of every vector of the type, in lexicographic order,
-    formatted from the tuples with no vector built."""
+    joined from per-slot term strings with no vector or tuple built."""
+    values = _values(r, norm, deg)
+    pieces = [{c: _term(c, sym) for c in values} for sym in _symbols(r)]
+    return [text.lstrip("+") or "0" for text in _walk(r, norm, deg, pieces)]
+
+
+def _values(r: int, norm: int, deg: int) -> range:
+    """A range that holds every coefficient of every vector of the type."""
     heights = _heights(r, norm, deg)
     top = max(abs(heights.start), abs(heights.stop - 1))
     # |a| <= top and c_i^2 <= a^2 - norm bound every coefficient
     bound = isqrt(top * top + abs(norm))
-    return _format_tuples(r, range(-bound, bound + 1), _tuples_of_type(r, norm, deg))
+    return range(-bound, bound + 1)
 
 
 def _heights(r: int, norm: int, deg: int) -> range:
@@ -457,35 +453,67 @@ def _heights(r: int, norm: int, deg: int) -> range:
 
 def _tuples_of_type(r: int, norm: int, deg: int) -> Iterator[tuple[int, ...]]:
     """Every (a, c_1, ..., c_r) with a^2 - sum c_i^2 = norm and
-    3a + sum c_i = deg, in lexicographic order.
+    3a + sum c_i = deg, in lexicographic order: _walk over (c,) pieces."""
+    singletons = {c: (c,) for c in _values(r, norm, deg)}
+    return _walk(r, norm, deg, [singletons] * (r + 1))
 
-    A depth-first search on a stack of (prefix, s, q): the k coefficients
+
+def _walk(r: int, norm: int, deg: int, pieces: list[dict]) -> Iterator:
+    """pieces[0][a] + pieces[1][c_1] + ... + pieces[r][c_r] for every
+    (a, c_1, ..., c_r) of the type, r >= 3, in lexicographic order of the
+    tuples.  Each slot maps every value of _values to its piece: (c,)
+    pieces join to the tuple and _term pieces to its text.
+
+    A depth-first walk on a stack of (prefix, k, s, q): the k coefficients
     after the prefix must sum to s with squares summing to q.  They exist
     only if s - q is even, which is norm + deg mod 2 at every node (a^2 + 3a
     and c^2 - c are even), so it is tested on the heights alone, and if
     s^2 <= k q (Cauchy-Schwarz); for the child c that reads
     |k c - s| <= sqrt((k - 1)(k q - s^2)).  Children are pushed in
-    decreasing c, so they pop in order.  The last pair is solved in closed
-    form: c + d = s and c^2 + d^2 = q give (d - c)^2 = 2q - s^2 = t^2 and
-    c = (s - t)/2, integral whenever t is.
+    decreasing c, so they pop in order.
+
+    At k = 3 the prefix is joined to each tail, the joined pieces of the
+    last three slots.  The tails depend only on (s, q), which repeat
+    across prefixes, so tails() keeps them in a memo that lives for this
+    call.  Within a tail the last pair is solved in closed form: c + d = s
+    and c^2 + d^2 = q give (d - c)^2 = 2q - s^2 = t^2 and c = (s - t)/2,
+    integral whenever t is.
     """
+    memo = {}
+    first, second, third = pieces[r - 2], pieces[r - 1], pieces[r]
+
+    def tails(s, q):
+        out = memo.get((s, q))
+        if out is None:
+            out = []
+            m = isqrt(2 * (3 * q - s * s))
+            for c in range((s - m - 1) // 3 + 1, (s + m) // 3 + 1):
+                s2, q2 = s - c, q - c * c
+                t_sq = 2 * q2 - s2 * s2
+                t = isqrt(t_sq)
+                if t * t == t_sq:
+                    d = (s2 - t) // 2
+                    head = first[c]
+                    out.append(head + second[d] + third[s2 - d])
+                    if t:
+                        out.append(head + second[s2 - d] + third[d])
+            out = memo[s, q] = tuple(out)
+        return out
+
     stack = []
     for a in reversed(_heights(r, norm, deg)):
         s, q = deg - 3 * a, a * a - norm
         if s * s <= r * q and (s - q) % 2 == 0:
-            stack.append(((a,), s, q))
+            stack.append((pieces[0][a], r, s, q))
     while stack:
-        prefix, s, q = stack.pop()
-        k = r + 1 - len(prefix)
-        if k > 2:
+        prefix, k, s, q = stack.pop()
+        # memoizing four-coordinate tails instead took the peak of the
+        # (8, 2, 4) walk to ~300 kB, past its memory test's 100 kB
+        if k > 3:
+            piece = pieces[r + 1 - k]
             m = isqrt((k - 1) * (k * q - s * s))
             for c in range((s + m) // k, (s - m - 1) // k, -1):
-                stack.append(((*prefix, c), s - c, q - c * c))
+                stack.append((prefix + piece[c], k - 1, s - c, q - c * c))
             continue
-        t_sq = 2 * q - s * s
-        t = isqrt(t_sq)
-        if t * t == t_sq:
-            c = (s - t) // 2
-            yield (*prefix, c, s - c)
-            if t:
-                yield (*prefix, s - c, c)
+        for t in tails(s, q):
+            yield prefix + t

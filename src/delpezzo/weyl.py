@@ -16,7 +16,6 @@ of the (a, sorted c) in it, found by closing them under s_r.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -139,16 +138,25 @@ def _sorted_images(q: Coeffs) -> Iterator[Coeffs]:
 
     q = (a, c) with c sorted.  After a permutation, s_r acts on some
     position triple i < j < k of c: with m = a + c_i + c_j + c_k it adds
-    m to a and subtracts it at i, j and k.  m = 0 gives q back.
+    m to a and subtracts it at i, j and k.  The image depends only on
+    the values at i, j and k, so a position whose value equals its
+    predecessor's at the same level is skipped.  m = 0 gives q back.
     """
     a, c = q[0], q[1:]
-    for i, j, k in combinations(range(len(c)), 3):
-        m = a + c[i] + c[j] + c[k]
-        if m:
-            d = list(c)
-            for n in (i, j, k):
-                d[n] -= m
-            yield (a + m, *sorted(d))
+    n = len(c)
+    for i in range(n - 2):
+        if i and c[i] == c[i - 1]:
+            continue
+        for j in range(i + 1, n - 1):
+            if j > i + 1 and c[j] == c[j - 1]:
+                continue
+            for k in range(j + 1, n):
+                m = a + c[i] + c[j] + c[k]
+                if m and (k == j + 1 or c[k] != c[k - 1]):
+                    d = list(c)
+                    for x in (i, j, k):
+                        d[x] -= m
+                    yield (a + m, *sorted(d))
 
 
 def _arrangements(c: Coeffs, memo: dict[Coeffs, list[Coeffs]]) -> list[Coeffs]:

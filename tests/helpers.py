@@ -30,7 +30,7 @@ from delpezzo import (
     root_from_six,
     zero_vector,
 )
-from delpezzo.lattice import _vector
+from delpezzo.lattice import _symbols, _term, _vector
 from delpezzo.weyl import _labels
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -223,6 +223,16 @@ def two_pass_format_vector(v: LatticeVector) -> str:
     return out
 
 
+def format_tuples(r: int, values, tuples) -> list[str]:
+    """format_vector of each rank-r tuple (a, c_1, ..., c_r), with no vector
+    built: every coefficient must lie in `values`, and the terms come from
+    one dict per slot from each value to its lattice._term.  Oracle for
+    lattice._texts_of_type."""
+    table = [{c: _term(c, s) for c in values} for s in _symbols(r)]
+    get = dict.__getitem__
+    return ["".join(map(get, table, t)).lstrip("+") or "0" for t in tuples]
+
+
 def scan_parse_vector(text: str, r: int) -> LatticeVector:
     """The `3h-e1-2e8` syntax read by a character scanner; oracle for
     lattice.parse_vector.  It tests digits with str.isdigit but converts
@@ -328,6 +338,20 @@ def reverse_search_orbit(dom: tuple[int, ...]) -> list[tuple[int, ...]]:
         found += nxt
         frontier = nxt
     return found
+
+
+def position_triple_images(q: tuple[int, ...]):
+    """The tuples (a, sorted c) that s_r reaches from the S_r-orbit of q,
+    c sorted, over every position triple of c, repeated values or not.
+    Oracle for weyl._sorted_images."""
+    a, c = q[0], q[1:]
+    for i, j, k in combinations(range(len(c)), 3):
+        m = a + c[i] + c[j] + c[k]
+        if m:
+            d = list(c)
+            for n in (i, j, k):
+                d[n] -= m
+            yield (a + m, *sorted(d))
 
 
 def bfs_orbit_of_set(vectors, lattice: MarkedLattice) -> list[tuple[LatticeVector, ...]]:

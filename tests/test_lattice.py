@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -34,8 +35,8 @@ from delpezzo import (
     word_matrix,
     zero_vector,
 )
-from delpezzo.lattice import _form, _tuples_of_type
-from helpers import LINE_COUNTS, brute_force_classes, recursive_tuples_of_type
+from delpezzo.lattice import _form, _symbols, _term, _texts_of_type, _tuples_of_type, _values, _walk
+from helpers import LINE_COUNTS, brute_force_classes, format_tuples, recursive_tuples_of_type
 
 RANKS = range(3, 9)
 
@@ -353,6 +354,13 @@ def test_vectors_of_type_against_box_scan(r):
         assert set(got) == brute_force_classes(r, norm, deg, 4)
 
 
+def assert_walks_match_the_oracle(r, norm, deg):
+    want = recursive_tuples_of_type(r, norm, deg)
+    assert list(_tuples_of_type(r, norm, deg)) == want, (r, norm, deg)
+    texts = format_tuples(r, {c for t in want for c in t}, want)
+    assert _texts_of_type(r, norm, deg) == texts, (r, norm, deg)
+
+
 @pytest.mark.parametrize("r", RANKS)
 def test_coeff_solutions_match_the_recursive_oracle(r):
     # the adjunction types deg = norm + 2, two types off them, and (5, 0),
@@ -361,23 +369,24 @@ def test_coeff_solutions_match_the_recursive_oracle(r):
     norms = range(-3, 7 if r < 8 else 4)
     types = [(norm, norm + 2) for norm in norms] + [(0, 0), (5, 0), (1, 1)]
     for norm, deg in types:
-        assert list(_tuples_of_type(r, norm, deg)) == recursive_tuples_of_type(r, norm, deg)
+        assert_walks_match_the_oracle(r, norm, deg)
 
 
 def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
     for r, norm, deg in product(range(3, 6), range(-6, 9), range(-6, 9)):
-        got = list(_tuples_of_type(r, norm, deg))
-        assert got == recursive_tuples_of_type(r, norm, deg), (r, norm, deg)
+        assert_walks_match_the_oracle(r, norm, deg)
     # the closed-form pair's cases: t = |d - c| = 0 gives one pair, t = 1 two
     assert list(_tuples_of_type(3, -3, 3)) == [(0, 1, 1, 1), (3, -2, -2, -2)]
     assert list(_tuples_of_type(3, -1, 1)) == [
         (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1)
     ]
+    assert _texts_of_type(3, -1, 1) == ["e3", "e2", "e1", "h-e1-e2", "h-e1-e3", "h-e2-e3"]
 
 
 def test_tuples_of_type_holds_no_list_of_tuples():
     # (8, 2, 4) has 82,560 tuples, a megabyte or more if they are held;
-    # the depth-first stack holds at most 37 prefixes
+    # the walk holds its stack of prefixes and the memo of tails of the
+    # last three coordinates
     tracemalloc.start()
     try:
         for _ in _tuples_of_type(8, 2, 4):
@@ -386,6 +395,20 @@ def test_tuples_of_type_holds_no_list_of_tuples():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_text_walk_holds_tails_not_the_output():
+    # (8, 5, 7) has 2,877,120 classes, over 200 MB as a list of strings;
+    # consumed lazily, the walk over term pieces holds the pieces, its
+    # stack and the memo of three-coordinate tails
+    tracemalloc.start()
+    try:
+        pieces = [{c: _term(c, sym) for c in _values(8, 5, 7)} for sym in _symbols(8)]
+        deque(_walk(8, 5, 7, pieces), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_vectors_of_type_negative_discriminant_is_empty():

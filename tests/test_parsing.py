@@ -13,8 +13,7 @@ from delpezzo import (
     parse_vector,
     zero_vector,
 )
-from delpezzo.lattice import _format_tuples
-from helpers import two_pass_format_vector
+from helpers import format_tuples, two_pass_format_vector
 
 
 def test_round_trip_basis():
@@ -82,7 +81,7 @@ def test_term_table_matches_two_pass_formatter(r):
     tuples = [v.coeffs() for v in vecs]
     want = [two_pass_format_vector(v) for v in vecs]
     assert [format_vector(v) for v in vecs] == want
-    assert _format_tuples(r, {c for t in tuples for c in t}, tuples) == want
+    assert format_tuples(r, {c for t in tuples for c in t}, tuples) == want
 
 
 def test_parse_repeated_terms_accumulate():

@@ -36,6 +36,7 @@ from helpers import (
     bfs_orbit,
     bfs_orbit_of_set,
     chain_parabolic_order,
+    position_triple_images,
     random_vector,
     random_word,
     reverse_search_orbit,
@@ -286,6 +287,8 @@ def test_sorted_images_close_over_the_sorted_orbit(r):
         expected = {(t[0], *sorted(t[1:])) for t in reverse_search_orbit(dom)}
         assert closure(dom, _sorted_images) == expected
         assert not any(q in _sorted_images(q) for q in expected)  # m = 0 is skipped
+        for q in expected:  # distinct value triples give every image of all triples
+            assert set(_sorted_images(q)) == set(position_triple_images(q)), q
 
 
 def test_orbit_memory_peak_stays_at_the_listing():
