@@ -2,7 +2,7 @@
 
 Roots are the vectors of square -2 and degree 0; for r = 3..8 they form
 the systems A1+A2, A4, D5, E6, E7, E8.  Everything here is exact and
-emitted in lexicographic order.
+emitted in lexicographic order, read off the roots root_system walks once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ class DynkinType:
 
 
 def enumerate_roots(lattice: MarkedLattice) -> list[Root]:
-    return [Root(v) for v in vectors_of_type(lattice, -2, 0)]
+    """Every root in lexicographic order: a fresh list of root_system's."""
+    return list(root_system(lattice).all_roots)
 
 
 def expand_in_simple(alpha: Root | LatticeVector, lattice: MarkedLattice) -> tuple[int, ...]:
@@ -112,32 +113,24 @@ def expand_in_simple(alpha: Root | LatticeVector, lattice: MarkedLattice) -> tup
 
 
 def positive_roots(lattice: MarkedLattice) -> list[Root]:
-    """Roots whose simple-coroot coordinates are all non-negative: the
-    upper half of enumerate_roots, since every simple coroot is positive
-    in the lexicographic order, which addition preserves."""
-    roots = enumerate_roots(lattice)
-    return roots[len(roots) // 2 :]
+    """Roots with non-negative simple-coroot coordinates, sorted: a fresh list."""
+    return list(root_system(lattice).positive)
 
 
 def root_height(alpha: Root | LatticeVector, lattice: MarkedLattice) -> int:
     return sum(expand_in_simple(alpha, lattice))
 
 def highest_root(lattice: MarkedLattice) -> Root:
-    """The unique positive root of maximal height (r = 4..8 only): minus
-    the dominant root, all roots being one Weyl orbit."""
+    """The unique positive root of maximal height (r = 4..8 only): the
+    last root in lexicographic order (see root_system)."""
     if lattice.r == 3:
         raise DomainError("rank 3 gives the non-simple system A1+A2; no highest root")
-    from .weyl import dominant_representative  # weyl imports this module
-
-    root = Root(-dominant_representative(lattice.simple_coroots[0], lattice)[0])
-    assert all(c >= 0 for c in expand_in_simple(root, lattice))
-    return root
+    return root_system(lattice).highest
 
 
 def cartan_matrix(lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of the simple coroots, sign-adjusted so the diagonal is 2."""
-    alphas = lattice.simple_coroots
-    return tuple(tuple(-inner(a, b) for b in alphas) for a in alphas)
+    return root_system(lattice).cartan
 
 
 # --- configuration classification -------------------------------------------
@@ -219,14 +212,20 @@ class RootSystemData:
 
 @lru_cache(maxsize=None)
 def root_system(lattice: MarkedLattice) -> RootSystemData:
-    roots = tuple(enumerate_roots(lattice))
-    pos = tuple(positive_roots(lattice))
+    """The roots, walked and validated once per lattice, and what their sorted
+    tuple gives.  Every simple coroot is lexicographically positive, so the
+    positive roots are its upper half, and the highest root theta (r >= 4)
+    is its last: theta - beta is a sum of simple coroots for each positive beta."""
+    roots = tuple(Root(v) for v in vectors_of_type(lattice, -2, 0))
+    pos = roots[len(roots) // 2 :]
     assert {Root(-p.vector) for p in pos} | set(pos) == set(roots)
-    top = highest_root(lattice) if lattice.r >= 4 else None
+    top = roots[-1] if lattice.r >= 4 else None
+    assert top is None or min(expand_in_simple(top, lattice)) >= 0
+    alphas = lattice.simple_coroots
     return RootSystemData(
         all_roots=roots,
         positive=pos,
         highest=top,
-        cartan=cartan_matrix(lattice),
-        dynkin=dynkin_type(lattice.simple_coroots),
+        cartan=tuple(tuple(-inner(a, b) for b in alphas) for a in alphas),
+        dynkin=dynkin_type(alphas),
     )

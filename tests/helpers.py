@@ -31,7 +31,7 @@ from delpezzo import (
     zero_vector,
 )
 from delpezzo.lattice import _symbols, _term, _vector
-from delpezzo.weyl import _labels
+from delpezzo.weyl import _labels, dominant_representative
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -77,6 +77,12 @@ def closed_form_highest_root(r: int) -> LatticeVector:
     if r in (6, 7):
         return 2 * h - esum(r, range(r - 5, r + 1))
     return 3 * h - esum(r, range(1, 8)) - 2 * basis_e(r, 8)
+
+
+def descent_highest_root(lattice: MarkedLattice) -> Root:
+    """Minus the dominant root, all roots being one Weyl orbit (r >= 4):
+    the Weyl descent roots.highest_root replaced."""
+    return Root(-dominant_representative(lattice.simple_coroots[0], lattice)[0])
 
 
 def chain_parabolic_order(r: int, nodes: frozenset[int]) -> int:

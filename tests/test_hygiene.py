@@ -1,5 +1,6 @@
 """Every imported name is used, and imported once; `import *` appears only
-in the package's `__init__.py`; the package never calls str.isdigit.
+in the package's `__init__.py`; the package never calls str.isdigit; a
+package module imports only the modules below it in the layer order.
 
 A stdlib `ast` scan of the package (minus the `__init__.py` re-exports),
 the tests and the demos: a name bound by an import statement must be read
@@ -9,6 +10,9 @@ no two import statements in one file may bind the same name.  Only
 public names in `__all__`, so a helper cannot leak into `delpezzo`.  The package
 itself must not call `.isdigit()`: it accepts digits such as '²' that
 int() rejects, so a digit test built on it lets int() raise ValueError.
+The layers run errors, lattice, roots, weyl, geometry, degeneration,
+weights, period, cli; a relative import, at module level or inside a
+function, names an earlier one, so no cycle can be hidden in a function.
 """
 
 import ast
@@ -165,3 +169,40 @@ def test_scan_flags_an_isdigit_call():
         "test = str.isdigit\n"
     )
     assert _isdigit_calls(tree) == [3]
+
+
+LAYERS = (
+    "errors", "lattice", "roots", "weyl", "geometry", "degeneration", "weights", "period", "cli"
+)
+
+
+def _upward_imports(tree: ast.Module, module: str) -> list[str]:
+    """'line: name' for every relative import of a module not below `module`."""
+    below = LAYERS[: LAYERS.index(module)]
+    return sorted(
+        f"{node.lineno}: {node.module}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.level
+        and node.module  # `from . import __version__` reads the package
+        and node.module not in below
+    )
+
+
+def test_layer_order_names_every_module():
+    assert {p.stem for p in PACKAGE} - {"__init__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE) - {INIT}), ids=lambda p: p.stem)
+def test_package_imports_only_lower_layers(path):
+    upward = _upward_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert not upward, f"{path.name} imports from its own or a higher layer: {upward}"
+
+
+def test_scan_flags_an_upward_import():
+    tree = ast.parse(
+        "from .errors import DomainError\nfrom . import __version__\n"
+        "def f():\n    from .weyl import orbit\n    from .roots import Root\n"
+    )
+    assert _upward_imports(tree, "roots") == ["4: weyl", "5: roots"]
+    assert _upward_imports(tree, "geometry") == []

@@ -1,6 +1,6 @@
 import random
+import sys
 import tracemalloc
-from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -397,18 +397,43 @@ def test_tuples_of_type_holds_no_list_of_tuples():
     assert peak < 100_000
 
 
+def _held_bytes(obj) -> int:
+    """sys.getsizeof summed over the objects reachable through containers."""
+    seen, todo, total = set(), [obj], 0
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            todo += x
+    return total
+
+
 def test_text_walk_holds_tails_not_the_output():
     # (8, 5, 7) has 2,877,120 classes, over 200 MB as a list of strings;
     # consumed lazily, the walk over term pieces holds the pieces, its
-    # stack and the memo of three-coordinate tails
-    tracemalloc.start()
-    try:
-        pieces = [{c: _term(c, sym) for c in _values(8, 5, 7)} for sym in _symbols(8)]
-        deque(_walk(8, 5, 7, pieces), maxlen=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # stack and the memo of three-coordinate tails, under 1 MB.  Measured
+    # without tracemalloc, which slows the walk 15-20x: the live blocks the
+    # walk adds, sampled every 4,096 classes, would grow by one a class if
+    # it kept them (a class text is a str of 56 bytes or more, so 1 MB of
+    # them is 17,857 blocks), and a few times the bytes its frame reaches
+    # are summed, which a single string grown in place would also show
+    pieces = [{c: _term(c, sym) for c in _values(8, 5, 7)} for sym in _symbols(8)]
+    base = sys.getallocatedblocks()
+    walk = _walk(8, 5, 7, pieces)
+    blocks = held = n = 0
+    for n, _ in enumerate(walk, 1):
+        if n % 4096 == 0:
+            blocks = max(blocks, sys.getallocatedblocks() - base)
+            if n % (4096 * 128) == 0:
+                held = max(held, _held_bytes(walk.gi_frame.f_locals))
+    assert n == 2_877_120
+    assert blocks < 1_000_000 // 56
+    assert 0 < held < 1_000_000
 
 
 def test_vectors_of_type_negative_discriminant_is_empty():

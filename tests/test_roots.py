@@ -8,17 +8,21 @@ from delpezzo import (
     DynkinType,
     Root,
     cartan_matrix,
+    double_sixes,
     dual_basis_lifts,
     dynkin_type,
     enumerate_roots,
     expand_in_simple,
+    fundamental_weight_lift,
     highest_root,
     inner,
+    is_minuscule,
     make_marked_lattice,
     parse_vector,
     positive_roots,
     root_height,
     root_system,
+    vectors_of_type,
 )
 from helpers import (
     DYNKIN_NAMES,
@@ -26,6 +30,7 @@ from helpers import (
     bfs_orbit,
     closed_form_highest_root,
     closed_form_positive_roots,
+    descent_highest_root,
     exact_determinant,
     exact_rank,
     positive_roots_by_coordinates,
@@ -73,6 +78,7 @@ def test_highest_root(r):
     M = make_marked_lattice(r)
     top = highest_root(M)
     assert top.vector == closed_form_highest_root(r)
+    assert top == descent_highest_root(M)
     heights = {x: root_height(x, M) for x in positive_roots(M)}
     best = max(heights.values())
     assert heights[top] == best
@@ -84,8 +90,47 @@ def test_highest_root(r):
 
 
 def test_no_highest_root_in_rank_3():
-    with pytest.raises(DomainError):
+    with pytest.raises(
+        DomainError, match=r"^rank 3 gives the non-simple system A1\+A2; no highest root$"
+    ):
         highest_root(make_marked_lattice(3))
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_root_lists_match_the_per_call_walk(r):
+    M = make_marked_lattice(r)
+    walked = [Root(v) for v in vectors_of_type(M, -2, 0)]
+    assert enumerate_roots(M) == walked
+    assert positive_roots(M) == walked[len(walked) // 2 :]
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_root_lists_are_fresh(r):
+    M = make_marked_lattice(r)
+    enumerate_roots(M).clear()
+    positive_roots(M).clear()
+    assert len(enumerate_roots(M)) == len(root_system(M).all_roots) == ROOT_COUNTS[r]
+    assert len(positive_roots(M)) == ROOT_COUNTS[r] // 2
+
+
+def test_roots_are_walked_once_per_lattice(monkeypatch):
+    walks = []
+
+    def counting(lattice, norm, deg):
+        walks.append((lattice.r, norm, deg))
+        return vectors_of_type(lattice, norm, deg)
+
+    monkeypatch.setattr("delpezzo.roots.vectors_of_type", counting)
+    root_system.cache_clear()
+    M = make_marked_lattice(6)
+    for _ in range(2):
+        enumerate_roots(M)
+        positive_roots(M)
+        highest_root(M)
+        cartan_matrix(M)
+        is_minuscule(fundamental_weight_lift(M, 1), M)
+        double_sixes(M)
+    assert walks == [(6, -2, 0)]
 
 
 def test_expand_examples():
