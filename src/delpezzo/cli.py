@@ -40,7 +40,7 @@ from .weights import (
     is_minuscule,
     weight_evaluations,
 )
-from .weyl import DEFAULT_ORBIT_CAP, format_word, orbit
+from .weyl import DEFAULT_ORBIT_CAP, _capped_orbit_size, format_word, orbit
 
 ORBIT_CAP_ENV = "DELPEZZO_ORBIT_CAP"
 
@@ -130,7 +130,7 @@ def _handle_weights(args, lattice):
     if args.minuscule:
         item["minuscule"] = is_minuscule(lift, lattice)
         if item["minuscule"]:
-            item["orbit_size"] = len(orbit(lift.vector, lattice, cap=_orbit_cap()))
+            item["orbit_size"] = _capped_orbit_size(lift.vector, lattice, _orbit_cap())[1]
         mode = "minuscule"
     else:
         mode = "lift"

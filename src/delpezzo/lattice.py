@@ -57,7 +57,7 @@ MIN_RANK = 3
 MAX_RANK = 8
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LatticeVector:
     """Integer vector a*h + sum_i c_i*e_i.
 

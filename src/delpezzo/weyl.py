@@ -10,11 +10,14 @@ c_{i+1}; for i = r the label is m = a + c_1 + c_2 + c_3 and s_r adds m
 to a and subtracts it from c_1, c_2, c_3.  Words and descents use this
 kernel.  Orbits use its quotient by S_r = <s_1, ..., s_{r-1}>, the
 permutations of c: a Weyl orbit is the disjoint union of the S_r-orbits
-of the (a, sorted c) in it, found by closing them under s_r.
+of the (a, sorted c) in it, found by closing them under s_r.  Orbits
+of sets act on int indices interned for the call: each vector met is
+reflected once per generator into a table of index moves.
 """
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -193,6 +196,17 @@ def apply_word(word: Iterable[int], v: LatticeVector, lattice: MarkedLattice) ->
     return v if t is None else _vector(t)
 
 
+def _capped_orbit_size(v: LatticeVector, lattice: MarkedLattice, cap: int) -> tuple[Coeffs, int]:
+    """The dominant tuple of v's orbit and the orbit size |W|/|W_J|, J its
+    zero labels; OrbitCapError if the size is over lattice._cap_limit."""
+    limit = _cap_limit(cap)
+    dom, _ = _descend(_coeffs(v, lattice))
+    size = _orbit_size(dom)
+    if size > limit:
+        raise OrbitCapError(cap, limit)
+    return dom, size
+
+
 def orbit(
     v: LatticeVector, lattice: MarkedLattice, cap: int = DEFAULT_ORBIT_CAP
 ) -> list[LatticeVector]:
@@ -202,18 +216,23 @@ def orbit(
     representative, is checked against the limit of lattice._cap_limit
     before any work.  The orbit is then listed by S_r-quotient: the
     (a, sorted c) in it are closed under s_r from the dominant one, and
-    each gives the distinct permutations of its c.
+    each gives the distinct permutations of its c.  The listing makes no
+    reference cycles, so the cyclic collector is paused while it runs.
     """
-    limit = _cap_limit(cap)
-    dom, _ = _descend(_coeffs(v, lattice))
-    size = _orbit_size(dom)
-    if size > limit:
-        raise OrbitCapError(cap, limit)
-    found = [(q[0],) + p for q in closure(dom, _sorted_images) for p in _arrangements(q[1:], {})]
-    if len(found) != size:
-        raise InternalError(f"orbit listing found {len(found)} elements, |W|/|W_J| = {size}")
-    found.sort()
-    return list(map(_vector, found))
+    dom, size = _capped_orbit_size(v, lattice, cap)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = [
+            (q[0],) + p for q in closure(dom, _sorted_images) for p in _arrangements(q[1:], {})
+        ]
+        if len(found) != size:
+            raise InternalError(f"orbit listing found {len(found)} elements, |W|/|W_J| = {size}")
+        found.sort()
+        return list(map(_vector, found))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def orbit_of_set(
@@ -225,19 +244,43 @@ def orbit_of_set(
 
     Elements are kept as sorted tuples, so the action is on k-element
     multisets; used for transitivity checks on line k-tuples.
-    Breadth-first closure (lattice.closure) of the sorted tuple of
-    coefficient tuples under the simple reflections; raises
-    OrbitCapError once it needs more elements than the cap admits.
+    The sets share few vectors, so each vector met gets an int index for
+    the call, and moves[x] holds the indices of its simple reflections,
+    filled when a set holding x is first expanded.  Breadth-first closure
+    (lattice.closure) of the sorted index tuple under those moves; raises
+    OrbitCapError once it needs more elements than the cap admits.  Indices
+    relabelled by lexicographic rank make the sorted member tuples.
     """
-    start = tuple(_coeffs(u, lattice) for u in sorted(vectors))
+    index: dict[Coeffs, int] = {}
+    tuples: list[Coeffs] = []
+    moves: list[list[int] | None] = []
+
+    def intern(t: Coeffs) -> int:
+        x = index.get(t)
+        if x is None:
+            x = index[t] = len(tuples)
+            tuples.append(t)
+            moves.append(None)
+        return x
+
+    start = tuple(sorted(intern(_coeffs(u, lattice)) for u in vectors))
     gens = range(1, lattice.r + 1)
-    # The sets share few distinct vectors, so each is reflected and wrapped once.
-    step = lru_cache(maxsize=None)(_reflect)
-    seen = closure(
-        start, lambda tup: (tuple(sorted([step(u, i) for u in tup])) for i in gens), cap
-    )
-    wrap = lru_cache(maxsize=None)(_vector)
-    return [tuple(map(wrap, tup)) for tup in sorted(seen)]
+
+    def row(x: int) -> list[int]:
+        out = moves[x]
+        if out is None:
+            out = moves[x] = [intern(_reflect(tuples[x], i)) for i in gens]
+        return out
+
+    def images(tup: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        return map(tuple, map(sorted, zip(*map(row, tup))))
+
+    seen = closure(start, images, cap)
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    rank = {x: j for j, x in enumerate(order)}
+    wrapped = [_vector(tuples[x]) for x in order]
+    ranked = sorted(tuple(sorted(map(rank.__getitem__, tup))) for tup in seen)
+    return [tuple(map(wrapped.__getitem__, tup)) for tup in ranked]
 
 
 def is_dominant(v: LatticeVector, lattice: MarkedLattice) -> bool:

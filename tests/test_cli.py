@@ -160,6 +160,22 @@ def test_weights_minuscule(capsys, schema):
     assert "orbit_size" not in six["items"][0]
 
 
+def test_weights_minuscule_lists_no_orbit(capsys, monkeypatch):
+    # the orbit size comes from the cap check alone, under the same cap rule
+    def no_listing(*args, **kwargs):
+        raise AssertionError("orbit listed")
+
+    monkeypatch.setattr("delpezzo.cli.orbit", no_listing)
+    for r, i, size in ((6, 1, 27), (7, 6, 56)):
+        report = run_json(capsys, "weights", "--r", str(r), "--fundamental", str(i), "--minuscule")
+        assert report["items"][0]["orbit_size"] == size
+    monkeypatch.setenv("DELPEZZO_ORBIT_CAP", "10")
+    assert run(["weights", "--r", "6", "--fundamental", "1", "--minuscule"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: orbit exceeded cap of 10 elements (10 found so far)\n"
+
+
 def test_weights_dual(capsys, schema):
     report = run_json(capsys, "weights", "--r", "6", "--fundamental", "1", "--dual")
     jsonschema.validate(report, schema)

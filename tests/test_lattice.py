@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -35,7 +38,16 @@ from delpezzo import (
     word_matrix,
     zero_vector,
 )
-from delpezzo.lattice import _form, _symbols, _term, _texts_of_type, _tuples_of_type, _values, _walk
+from delpezzo.lattice import (
+    _form,
+    _symbols,
+    _term,
+    _texts_of_type,
+    _tuples_of_type,
+    _values,
+    _vector,
+    _walk,
+)
 from helpers import LINE_COUNTS, brute_force_classes, format_tuples, recursive_tuples_of_type
 
 RANKS = range(3, 9)
@@ -131,6 +143,28 @@ def test_vector_constructor_rejects_non_tuple_container(coeff_e, kind):
     with pytest.raises(DomainError) as exc:
         LatticeVector(1, coeff_e)
     assert str(exc.value) == f"coeff_e must be a tuple, got {kind}"
+
+
+def test_vectors_are_slotted_and_copy_and_pickle_whole():
+    # frozen slotted dataclasses had copy and pickle bugs on some 3.10 releases
+    vectors = [anticanonical(8), LatticeVector(-2, (5, 0, -1)), _vector((1, 2, -3)), zero_vector(0)]
+    for v in vectors:
+        copies = [copy.copy(v), copy.deepcopy(v)]
+        copies += [pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for w in copies:
+            assert type(w) is LatticeVector
+            assert w == v and hash(w) == hash(v)
+            assert w.coeffs() == v.coeffs()
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            v.coeff_h = 7
+        with pytest.raises(FrozenInstanceError):
+            v.coeff_e = ()
+        # CPython's slotted frozen __setattr__ raises TypeError for a name that
+        # is not a field (3.10 to 3.13); either way the vector stays as it was
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            v.label = "x"
+        assert not hasattr(v, "label")
 
 
 def test_scalar_product_needs_an_int():

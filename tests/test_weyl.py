@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import time
@@ -28,6 +29,8 @@ from delpezzo import (
     reflect,
     word_matrix,
 )
+from delpezzo import weyl
+from delpezzo.errors import InternalError
 from delpezzo.lattice import _vector, closure
 from delpezzo.weyl import _arrangements, _descend, _orbit_size, _parabolic_order, _sorted_images
 from helpers import (
@@ -316,14 +319,89 @@ def test_orbit_of_zero_and_kappa_multiples(r):
         assert orbit(v, M) == bfs_orbit(v, M) == [v]
 
 
-@pytest.mark.parametrize("r, k, size", [(6, 2, 216), (6, 3, 720), (7, 2, 756), (7, 3, 4032)])
-def test_orbit_of_set_matches_bfs_oracle(r, k, size):
+def _moved_lines(r, k):
+    """The disjoint lines e_r, ..., e_{r-k+1}, moved by a fixed random word."""
+
+    def members(M):
+        word = random_word(random.Random(700 + 10 * r + k), r, 12)
+        return [apply_word(word, M.e(r - j), M) for j in range(k)]
+
+    return members
+
+
+@pytest.mark.parametrize(
+    "r, members, size",
+    [
+        pytest.param(6, _moved_lines(6, 2), 216, id="6-2-216"),
+        pytest.param(6, _moved_lines(6, 3), 720, id="6-3-720"),
+        pytest.param(7, _moved_lines(7, 2), 756, id="7-2-756"),
+        pytest.param(7, _moved_lines(7, 3), 4032, id="7-3-4032"),
+        # a multiset: the ordered pairs of disjoint lines, 27 * 16
+        pytest.param(6, lambda M: [M.e(6), M.e(5), M.e(6)], 432, id="6-repeated-line"),
+        # e1 > e3 > e6 in the lexicographic order
+        pytest.param(6, lambda M: [M.e(1), M.e(3), M.e(6)], 720, id="6-unsorted"),
+        # a root and a line orthogonal to it: 72 roots, 15 lines each
+        pytest.param(6, lambda M: [M.simple_coroots[0], M.e(6)], 1080, id="6-root-and-line"),
+        pytest.param(8, lambda M: [M.e(8), M.e(7)], 6720, id="8-2-6720"),
+    ],
+)
+def test_orbit_of_set_matches_bfs_oracle(r, members, size):
     M = make_marked_lattice(r)
-    word = random_word(random.Random(700 + 10 * r + k), r, 12)
-    lines = [apply_word(word, M.e(r - j), M) for j in range(k)]
-    got = orbit_of_set(lines, M)
+    vectors = members(M)
+    got = orbit_of_set(vectors, M)
     assert len(got) == size
-    assert got == bfs_orbit_of_set(lines, M)
+    assert got == bfs_orbit_of_set(vectors, M)
+
+
+def test_orbit_of_set_cap_boundary():
+    # raises iff the orbit is larger than max(cap, 1), reporting max(cap, 1) found
+    M = make_marked_lattice(6)
+    pair = [M.e(5), M.e(6)]
+    for cap in (-3, 0, 1, 2, 215):
+        limit = max(cap, 1)
+        with pytest.raises(OrbitCapError) as exc:
+            orbit_of_set(pair, M, cap=cap)
+        assert (exc.value.cap, exc.value.partial_count) == (cap, limit)
+        assert str(exc.value) == f"orbit exceeded cap of {cap} elements ({limit} found so far)"
+    assert orbit_of_set(pair, M, cap=216) == bfs_orbit_of_set(pair, M)
+    assert orbit_of_set([M.kappa], M, cap=0) == [(M.kappa,)]
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as it was, whatever the test leaves."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_orbit_leaves_the_collector_as_it_found_it(collector_state, enabled, monkeypatch):
+    M6, M8 = make_marked_lattice(6), make_marked_lattice(8)
+    (gc.enable if enabled else gc.disable)()
+    states = []
+
+    def images(q):
+        states.append(gc.isenabled())
+        return _sorted_images(q)
+
+    monkeypatch.setattr(weyl, "_sorted_images", images)
+    assert len(orbit(M6.e(6), M6)) == 27
+    assert gc.isenabled() is enabled
+    assert states and not any(states)  # the listing ran with the collector off
+    with pytest.raises(OrbitCapError):
+        orbit(dual_basis_lifts(M8)[1], M8, cap=1)
+    assert gc.isenabled() is enabled
+    with pytest.raises(DomainError):
+        orbit(M6.e(6), M8)
+    assert gc.isenabled() is enabled
+    monkeypatch.setattr(weyl, "_orbit_size", lambda dom: 28)
+    with pytest.raises(InternalError):
+        orbit(M6.e(6), M6)
+    assert gc.isenabled() is enabled
 
 
 def test_orbit_invariant_under_conjugated_generators():
