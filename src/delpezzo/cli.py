@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import __version__
-from .degeneration import incident_lines, make_configuration, orbit_decomposition
+from .degeneration import make_configuration, orbit_decomposition
 from .errors import DomainError, OrbitCapError
 from .geometry import (
     _check_adjunction,
@@ -156,7 +156,8 @@ def _handle_degenerate(args, lattice):
     for p in items:
         key = f"size_{p['size']}"
         counts[key] = counts.get(key, 0) + 1
-    counts["incident_lines"] = len(incident_lines(config, lattice))
+    # a line is a singleton exactly when it is orthogonal to every curve
+    counts["incident_lines"] = counts["classes"] - counts.get("size_1", 0)
     extra = {"gauge_type": str(config.dynkin)}
     return {"curves": args.curves}, counts, items, extra
 

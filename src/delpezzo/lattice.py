@@ -23,7 +23,7 @@ CLI prints with no tuple built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -105,6 +105,21 @@ class LatticeVector:
 
     def __str__(self) -> str:
         return format_vector(self)
+
+
+# slots=True rebuilds the class, and the frozen __setattr__ and __delattr__
+# that dataclasses generated still name the old one in super(), so a name
+# that is not a field raised TypeError; these raise for every name.
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+LatticeVector.__setattr__ = _refuse_set
+LatticeVector.__delattr__ = _refuse_del
 
 
 def _vector(t: tuple[int, ...]) -> LatticeVector:
@@ -371,31 +386,24 @@ def _dual_combination(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVe
     return sum(map(mul, psi, dual_basis_lifts(lattice)), zero_vector(r))
 
 
-def shift_to_degree(v: LatticeVector, deg: int, lattice: MarkedLattice) -> LatticeVector | None:
-    """The vector v + m*kappa of degree `deg`, or None when deg is not
-    congruent to the degree of v mod 9-r (kappa has degree 9-r)."""
-    if not isinstance(deg, int):
-        raise DomainError(f"degree must be an integer, got {deg!r}")
-    diff = deg - degree(v, lattice)
-    if diff % lattice.d != 0:
-        return None
-    return v + (diff // lattice.d) * lattice.kappa
-
-
 def lift_character(a: int, psi: tuple[int, ...], lattice: MarkedLattice):
     """Find lam with <lam, kappa> = a and <lam, alpha_i> = psi[i-1], or None.
 
     A lift exists iff a is congruent mod 9-r to the degree of
     sum_i psi_i * w_i; the spread of degrees over all lifts of the coroot
-    data is exactly one residue class mod 9-r.
+    data is exactly one residue class mod 9-r (kappa has degree 9-r).
     """
-    return shift_to_degree(_dual_combination(psi, lattice), a, lattice)
+    v = _dual_combination(psi, lattice)
+    if not isinstance(a, int):
+        raise DomainError(f"degree must be an integer, got {a!r}")
+    shift, rest = divmod(a - degree(v, lattice), lattice.d)
+    return None if rest else v + shift * lattice.kappa
 
 
 def lift_weight(psi: tuple[int, ...], lattice: MarkedLattice) -> LatticeVector:
     """The lift of a coroot-value tuple, normalized to 0 <= degree < 9-r."""
     v = _dual_combination(psi, lattice)
-    return shift_to_degree(v, degree(v, lattice) % lattice.d, lattice)
+    return v - degree(v, lattice) // lattice.d * lattice.kappa
 
 
 def euler_char(v: LatticeVector, lattice: MarkedLattice) -> int:

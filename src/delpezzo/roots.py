@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 from typing import Iterable
 
@@ -139,61 +140,47 @@ def cartan_matrix(lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
 def dynkin_type(roots: Iterable[Root | LatticeVector]) -> DynkinType:
     """ADE type of an independent set of roots with pairwise products in {0, 1}.
 
-    kappa-perp is negative definite (kappa.kappa = 9 - r > 0), so such roots
-    are independent iff each component of their graph is ADE (Humphreys 2.7).
+    A component is named by the determinant of its Cartan matrix 2I - A:
+    k + 1 for A_k, 4 for D_k, 9 - k for E_k.  Z^{1,r} has one positive
+    direction for every r, so 2I - A, minus the Gram matrix, has at most one
+    negative eigenvalue: det > 0 makes it positive definite, hence ADE and
+    independent (Humphreys 2.7).  det <= 0 raises the dependence error,
+    which at r >= 10 also covers sets such as T_{2,3,7} (det -1).
     """
     try:
         vecs = [as_root_vector(x) for x in roots]
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
-    n = len(vecs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = inner(vecs[i], vecs[j])
-            if p not in (0, 1):
-                raise ConfigurationError(
-                    f"pairing <{vecs[i]}, {vecs[j]}> = {p} is outside {{0, 1}}"
-                )
-    adj = {i: {j for j in range(n) if j != i and inner(vecs[i], vecs[j]) == 1} for i in range(n)}
+    adj: dict[int, set[int]] = {i: set() for i in range(len(vecs))}
+    for i, j in combinations(adj, 2):
+        p = inner(vecs[i], vecs[j])
+        if p not in (0, 1):
+            raise ConfigurationError(f"pairing <{vecs[i]}, {vecs[j]}> = {p} is outside {{0, 1}}")
+        if p:
+            adj[i].add(j)
+            adj[j].add(i)
     components = []
-    seen: set[int] = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = closure(start, adj.__getitem__)
-        seen |= comp
-        kind = _classify_component(comp, adj)
-        if kind is None:
+    for comp in {frozenset(closure(i, adj.__getitem__)) for i in adj}:
+        det = _determinant([[2 if i == j else -(j in adj[i]) for j in comp] for i in comp])
+        if det <= 0:
             raise ConfigurationError("roots are linearly dependent")
-        components.append(kind)
+        components.append(("A" if det == len(comp) + 1 else "D" if det == 4 else "E", len(comp)))
     return DynkinType(tuple(sorted(components)))
 
 
-def _classify_component(nodes, adj) -> tuple[str, int] | None:
-    """ADE type of a connected diagram, or None when it is not ADE."""
-    n = len(nodes)
-    deg = [len(adj[v]) for v in nodes]
-    if sum(deg) != 2 * (n - 1) or max(deg) > 3:
-        return None
-    branch = [v for v in nodes if len(adj[v]) == 3]
-    if not branch:
-        return ("A", n)
-    if len(branch) > 1:
-        return None
-    arms = sorted(_arm_length(branch[0], nb, adj) for nb in adj[branch[0]])
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", n)
-    if (arms[0], arms[1]) == (1, 2) and arms[2] in (2, 3, 4):
-        return ("E", n)
-    return None
-
-
-def _arm_length(branch: int, first: int, adj: dict[int, set[int]]) -> int:
-    prev, cur, length = branch, first, 1
-    while len(adj[cur]) == 2:
-        nxt = next(iter(adj[cur] - {prev}))
-        prev, cur, length = cur, nxt, length + 1
-    return length
+def _determinant(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix; Bareiss, in place."""
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 # --- aggregate --------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -139,27 +140,20 @@ def _orbit_size(dom: Coeffs) -> int:
 def _sorted_images(q: Coeffs) -> Iterator[Coeffs]:
     """The tuples (a, sorted c) that s_r reaches from the S_r-orbit of q.
 
-    q = (a, c) with c sorted.  After a permutation, s_r acts on some
-    position triple i < j < k of c: with m = a + c_i + c_j + c_k it adds
-    m to a and subtracts it at i, j and k.  The image depends only on
-    the values at i, j and k, so a position whose value equals its
-    predecessor's at the same level is skipped.  m = 0 gives q back.
+    q = (a, c) with c sorted.  After a permutation, s_r acts on three
+    entries x, y, z of c: with m = a + x + y + z it adds m to a and
+    subtracts it from each.  The image depends only on the value triple,
+    so each distinct one is taken once, in lexicographic order.  m = 0
+    gives q back.
     """
     a, c = q[0], q[1:]
-    n = len(c)
-    for i in range(n - 2):
-        if i and c[i] == c[i - 1]:
-            continue
-        for j in range(i + 1, n - 1):
-            if j > i + 1 and c[j] == c[j - 1]:
-                continue
-            for k in range(j + 1, n):
-                m = a + c[i] + c[j] + c[k]
-                if m and (k == j + 1 or c[k] != c[k - 1]):
-                    d = list(c)
-                    for x in (i, j, k):
-                        d[x] -= m
-                    yield (a + m, *sorted(d))
+    for x, y, z in dict.fromkeys(combinations(c, 3)):
+        m = a + x + y + z
+        if m:
+            d = list(c)
+            for v in (x, y, z):
+                d.remove(v)
+            yield (a + m, *sorted(d + [x - m, y - m, z - m]))
 
 
 def _arrangements(c: Coeffs, memo: dict[Coeffs, list[Coeffs]]) -> list[Coeffs]:

@@ -14,6 +14,9 @@ from itertools import combinations, product
 from math import factorial, isqrt
 
 from delpezzo import (
+    ConfigurationError,
+    DomainError,
+    DynkinType,
     LatticeVector,
     MarkedLattice,
     OrbitCapError,
@@ -30,7 +33,8 @@ from delpezzo import (
     root_from_six,
     zero_vector,
 )
-from delpezzo.lattice import _symbols, _term, _vector
+from delpezzo.lattice import _symbols, _term, _vector, closure
+from delpezzo.roots import as_root_vector
 from delpezzo.weyl import _labels, dominant_representative
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -116,6 +120,73 @@ def chain_parabolic_order(r: int, nodes: frozenset[int]) -> int:
                 continue
         order *= factorial(n + 1)
     return order * 2 if spare else order
+
+
+def simple_coroot_vectors(r: int) -> list[LatticeVector]:
+    """e_i - e_{i+1} for i < r, then h - e_1 - e_2 - e_3, built directly so
+    that ranks above 8 (which have no MarkedLattice) can be used too."""
+    e = [LatticeVector(0, tuple(int(i == j) for j in range(r))) for i in range(r)]
+    chain = [e[i] - e[i + 1] for i in range(r - 1)]
+    return chain + [LatticeVector(1, (0,) * r) - e[0] - e[1] - e[2]]
+
+
+def shape_dynkin_type(roots) -> DynkinType:
+    """ADE type of roots with pairings in {0, 1}, read off the shape of each
+    component's graph: a path is A_n; one branch point with arms of lengths
+    (1, 1, n) is D, with (1, 2, 2..4) is E; anything else is dependent.
+    Oracle for roots.dynkin_type."""
+    try:
+        vecs = [as_root_vector(x) for x in roots]
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    n = len(vecs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = inner(vecs[i], vecs[j])
+            if p not in (0, 1):
+                raise ConfigurationError(
+                    f"pairing <{vecs[i]}, {vecs[j]}> = {p} is outside {{0, 1}}"
+                )
+    adj = {i: {j for j in range(n) if j != i and inner(vecs[i], vecs[j]) == 1} for i in range(n)}
+    components = []
+    seen: set[int] = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = closure(start, adj.__getitem__)
+        seen |= comp
+        kind = _classify_component(comp, adj)
+        if kind is None:
+            raise ConfigurationError("roots are linearly dependent")
+        components.append(kind)
+    return DynkinType(tuple(sorted(components)))
+
+
+def _classify_component(nodes, adj) -> tuple[str, int] | None:
+    """ADE type of a connected diagram, or None when it is not ADE."""
+    n = len(nodes)
+    deg = [len(adj[v]) for v in nodes]
+    if sum(deg) != 2 * (n - 1) or max(deg) > 3:
+        return None
+    branch = [v for v in nodes if len(adj[v]) == 3]
+    if not branch:
+        return ("A", n)
+    if len(branch) > 1:
+        return None
+    arms = sorted(_arm_length(branch[0], nb, adj) for nb in adj[branch[0]])
+    if arms[0] == 1 and arms[1] == 1:
+        return ("D", n)
+    if (arms[0], arms[1]) == (1, 2) and arms[2] in (2, 3, 4):
+        return ("E", n)
+    return None
+
+
+def _arm_length(branch: int, first: int, adj: dict[int, set[int]]) -> int:
+    prev, cur, length = branch, first, 1
+    while len(adj[cur]) == 2:
+        nxt = next(iter(adj[cur] - {prev}))
+        prev, cur, length = cur, nxt, length + 1
+    return length
 
 
 def brute_force_classes(r: int, norm: int, deg: int, box: int) -> set[LatticeVector]:

@@ -127,7 +127,7 @@ def _random_configuration(M, rng):
     return make_configuration(chosen, M)
 
 
-@pytest.mark.parametrize("r", [4, 5, 6])
+@pytest.mark.parametrize("r", [4, 5, 6, 7, 8])
 def test_random_configurations_partition_the_lines(r):
     M = make_marked_lattice(r)
     vecs = _line_vectors(M)
@@ -145,6 +145,8 @@ def test_random_configurations_partition_the_lines(r):
         moved = {c.vector for c in incident_lines(cfg, M)}
         fixed = {v for p in parts if p.size == 1 for v in p.members if v in set(vecs)}
         assert moved == set(vecs) - fixed
+        # the degenerate report's count: classes minus singletons
+        assert len(moved) == len(members) - sum(p.size == 1 for p in parts)
 
 
 def test_degeneration_closure_can_add_classes():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -34,6 +35,8 @@ from helpers import (
     exact_determinant,
     exact_rank,
     positive_roots_by_coordinates,
+    shape_dynkin_type,
+    simple_coroot_vectors,
 )
 
 RANKS = range(3, 9)
@@ -233,13 +236,10 @@ def test_dynkin_rejects_pairing_triangle():
         dynkin_type([a, b, c])
 
 
-@pytest.mark.parametrize("r", range(6, 9))
-def test_dynkin_dependence_matches_exact_rank(r):
-    # Greedy random root sets with pairings in {0, 1}, up to r + 1 roots.
+def _greedy_root_sets(r):
+    """400 greedy random root sets with pairings in {0, 1}, up to r + 1 roots."""
     rng = random.Random(600 + r)
-    M = make_marked_lattice(r)
-    roots = [root.vector for root in enumerate_roots(M)]
-    outcomes = {True: 0, False: 0}
+    roots = [root.vector for root in enumerate_roots(make_marked_lattice(r))]
     for _ in range(400):
         size = rng.randint(1, r + 1)
         vecs = []
@@ -248,6 +248,13 @@ def test_dynkin_dependence_matches_exact_rank(r):
                 vecs.append(v)
                 if len(vecs) == size:
                     break
+        yield vecs
+
+
+@pytest.mark.parametrize("r", range(6, 9))
+def test_dynkin_dependence_matches_exact_rank(r):
+    outcomes = {True: 0, False: 0}
+    for vecs in _greedy_root_sets(r):
         dependent = exact_rank(vecs) < len(vecs)
         outcomes[dependent] += 1
         if dependent:
@@ -266,6 +273,53 @@ def test_dynkin_rejects_affine_diagrams(r):
     assert all(inner(extended[-1], a) in (0, 1) for a in M.simple_coroots)
     with pytest.raises(ConfigurationError, match=r"^roots are linearly dependent$"):
         dynkin_type(extended)
+
+
+def _type_or_error(classify, vecs):
+    try:
+        return classify(vecs)
+    except (ConfigurationError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _subsets(vecs):
+    return (list(s) for n in range(len(vecs) + 1) for s in combinations(vecs, n))
+
+
+@pytest.mark.parametrize("r", range(3, 12))
+def test_dynkin_type_matches_the_shape_oracle(r):
+    # Every subset of the simple coroots (r >= 9 too, where kappa-perp is not
+    # negative definite); with the lowest root for r = 4..8, which holds
+    # every affine diagram; and the greedy sets of the exact-rank test.
+    coroots = simple_coroot_vectors(r)
+    sets = list(_subsets(coroots))
+    if r <= 8:
+        M = make_marked_lattice(r)
+        assert coroots == list(M.simple_coroots)
+        if r >= 4:
+            sets += [s + [-highest_root(M).vector] for s in _subsets(coroots)]
+        if r >= 6:
+            sets += _greedy_root_sets(r)
+    dependent = (ConfigurationError, "roots are linearly dependent")
+    outcomes = []
+    for vecs in sets:
+        outcomes.append(_type_or_error(dynkin_type, vecs))
+        assert outcomes[-1] == _type_or_error(shape_dynkin_type, vecs), vecs
+    assert (dependent in outcomes) == (r > 3)
+    if r >= 9:  # T_{2,3,r-3}: affine E8 (det 0), then det 9 - r < 0
+        assert _type_or_error(dynkin_type, coroots) == dependent
+
+
+def test_dynkin_pairing_error_comes_before_a_rank_mismatch():
+    # The pairs are checked in order, so (0, 1) is reported before the
+    # rank-7 root reaches a pairing.
+    M = make_marked_lattice(6)
+    vecs = [M.e(1) - M.e(2), M.e(3) - M.e(2), make_marked_lattice(7).simple_coroots[0]]
+    message = r"^pairing <e1-e2, -e2\+e3> = -1 is outside \{0, 1\}$"
+    with pytest.raises(ConfigurationError, match=message):
+        dynkin_type(vecs)
+    with pytest.raises(DomainError, match="rank mismatch"):
+        dynkin_type(vecs[::2])
 
 
 @pytest.mark.parametrize("r", RANKS)
