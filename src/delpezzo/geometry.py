@@ -114,10 +114,12 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
     The sets are the k-cliques of the disjointness graph on the lines,
     found by backtracking on int bitmasks (after Bron & Kerbosch, 1973):
     bit j of later[i] is set when j > i and lines i and j are disjoint, and
-    each partial clique is extended by its lowest candidate bit first.  The
-    lines are listed in increasing order, so the cliques come out as
-    index-ascending tuples in lexicographic order, which is the order of
-    the sets' sorted member tuples; no sort is needed.
+    each partial clique that can still be completed is extended by its
+    lowest candidate bit first.  The lines are listed in increasing order,
+    so the cliques come out as index-ascending tuples in lexicographic
+    order, which is the order of the sets' sorted member tuples; no sort
+    is needed.  A clique is built as `chosen | single[i]` from per-call
+    singletons: a union copies stored hashes, so each line is hashed once.
     """
     if not (isinstance(k, int) and 1 <= k <= lattice.r):
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
@@ -128,25 +130,20 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
         sum(1 << j for j in range(i + 1, len(ts)) if not _form(ts[i], ts[j]))
         for i in range(len(ts) if k > 1 else 0)
     ]
+    single = [frozenset((v,)) for v in vecs]
     out: list[frozenset[LatticeVector]] = []
-    chosen: list[LatticeVector] = []
 
-    def extend(cand: int) -> None:
-        need = k - len(chosen)
-        if cand.bit_count() < need:
-            return
+    def extend(cand: int, chosen: frozenset[LatticeVector], need: int) -> None:
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
             if need == 1:
-                out.append(frozenset((*chosen, vecs[i])))
-                continue
-            chosen.append(vecs[i])
-            extend(cand & later[i])
-            chosen.pop()
+                out.append(chosen | single[i])
+            elif (nxt := cand & later[i]).bit_count() >= need - 1:
+                extend(nxt, chosen | single[i], need - 1)
 
-    extend((1 << len(vecs)) - 1)
+    extend((1 << len(vecs)) - 1, frozenset(), k)
     return out
 
 

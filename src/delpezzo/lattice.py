@@ -9,7 +9,8 @@ point, so invariants hold exactly.
 
 Exactness is checked once, in the LatticeVector constructor, which
 raises DomainError for any coefficient that is not an int; results that
-are ints by construction are wrapped by the unchecked _vector.
+are ints by construction are wrapped unchecked, here alone, by _vector
+and, with no Python call per vector, by _vectors.
 
 Vectors of a given type come from one generator, _walk, which yields
 them in lexicographic order without holding them: a depth-first walk
@@ -23,9 +24,11 @@ CLI prints with no tuple built.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator
@@ -122,12 +125,26 @@ LatticeVector.__setattr__ = _refuse_set
 LatticeVector.__delattr__ = _refuse_del
 
 
+_set_h = LatticeVector.coeff_h.__set__
+_set_e = LatticeVector.coeff_e.__set__
+
+
 def _vector(t: tuple[int, ...]) -> LatticeVector:
-    """Wrap an int tuple (a, c_1, ..., c_r) without the constructor's check."""
+    """Wrap an int tuple (a, c_1, ..., c_r) without the constructor's check,
+    through the slots' own setters, which skip object.__setattr__'s lookup."""
     v = object.__new__(LatticeVector)
-    object.__setattr__(v, "coeff_h", t[0])
-    object.__setattr__(v, "coeff_e", t[1:])
+    _set_h(v, t[0])
+    _set_e(v, t[1:])
     return v
+
+
+def _vectors(heights: list[int], tails: list[tuple[int, ...]]) -> list[LatticeVector]:
+    """_vector of each (heights[i],) + tails[i], with no Python frame per
+    vector: one map makes the instances, then one map per slot fills it."""
+    out = list(map(object.__new__, repeat(LatticeVector, len(tails))))
+    deque(map(_set_h, out, heights), 0)
+    deque(map(_set_e, out, tails), 0)
+    return out
 
 
 def _coeffs(v: LatticeVector, lattice: MarkedLattice) -> tuple[int, ...]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache, reduce
-from itertools import combinations
-from operator import mul
+from itertools import combinations, groupby, repeat
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
@@ -32,6 +32,7 @@ from .lattice import (
     _coeffs,
     _form,
     _vector,
+    _vectors,
     closure,
     dual_basis_lifts,
     make_marked_lattice,
@@ -210,20 +211,24 @@ def orbit(
     representative, is checked against the limit of lattice._cap_limit
     before any work.  The orbit is then listed by S_r-quotient: the
     (a, sorted c) in it are closed under s_r from the dominant one, and
-    each gives the distinct permutations of its c.  The listing makes no
+    each gives the distinct permutations of its c.  Taken by increasing a,
+    only a group of several representatives needs a sort; the heights and
+    permutations go to lattice._vectors as they are.  The listing makes no
     reference cycles, so the cyclic collector is paused while it runs.
     """
     dom, size = _capped_orbit_size(v, lattice, cap)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        found = [
-            (q[0],) + p for q in closure(dom, _sorted_images) for p in _arrangements(q[1:], {})
-        ]
-        if len(found) != size:
-            raise InternalError(f"orbit listing found {len(found)} elements, |W|/|W_J| = {size}")
-        found.sort()
-        return list(map(_vector, found))
+        heights, tails = [], []
+        for a, qs in groupby(sorted(closure(dom, _sorted_images)), itemgetter(0)):
+            qs = list(qs)
+            found = [p for q in qs for p in _arrangements(q[1:], {})]
+            heights += repeat(a, len(found))
+            tails += sorted(found) if len(qs) > 1 else found
+        if len(tails) != size:
+            raise InternalError(f"orbit listing found {len(tails)} elements, |W|/|W_J| = {size}")
+        return _vectors(heights, tails)
     finally:
         if enabled:
             gc.enable()

@@ -7,6 +7,7 @@ import pytest
 from delpezzo import (
     CurveClass,
     DomainError,
+    LatticeVector,
     apply_word,
     basis_e,
     basis_h,
@@ -35,6 +36,7 @@ from helpers import (
     random_word,
     root_paired_double_sixes,
     set_and_sort_triples,
+    wrap_mismatches,
 )
 
 RANKS = range(3, 9)
@@ -132,6 +134,30 @@ def test_disjoint_line_sets():
 def test_disjoint_line_sets_match_backtracking(r, k):
     M = make_marked_lattice(r)
     assert disjoint_line_sets(M, k) == backtrack_disjoint_line_sets(M, k)
+
+
+def test_disjoint_line_sets_hash_each_line_once(monkeypatch):
+    # each set is a union of per-call singletons, which copies stored hashes;
+    # building the 10,080 sets from their members would hash 40,320 times
+    M = make_marked_lattice(7)
+    calls = []
+    plain = LatticeVector.__hash__
+
+    def counting(v):
+        calls.append(v)
+        return plain(v)
+
+    monkeypatch.setattr(LatticeVector, "__hash__", counting)
+    sets = disjoint_line_sets(M, 4)
+    monkeypatch.undo()
+    assert len(sets) == 10_080
+    assert len(calls) <= LINE_COUNTS[7]
+
+
+def test_disjoint_line_set_members_match_constructed_ones():
+    members = [v for s in disjoint_line_sets(make_marked_lattice(6), 3) for v in s]
+    assert len(members) == 3 * 720
+    assert wrap_mismatches(members) == []
 
 
 @pytest.mark.parametrize("r,weyl_order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])

@@ -13,6 +13,10 @@ int() rejects, so a digit test built on it lets int() raise ValueError.
 The layers run errors, lattice, roots, weyl, geometry, degeneration,
 weights, period, cli; a relative import, at module level or inside a
 function, names an earlier one, so no cycle can be hidden in a function.
+Unchecked wrapping lives in lattice.py alone: no other file reads
+`object.__new__` or the slot setters `coeff_h.__set__` and
+`coeff_e.__set__`, and `object.__setattr__` is called only on `self`, as a
+frozen dataclass normalizing its own fields does.
 """
 
 import ast
@@ -206,3 +210,57 @@ def test_scan_flags_an_upward_import():
     )
     assert _upward_imports(tree, "roots") == ["4: weyl", "5: roots"]
     assert _upward_imports(tree, "geometry") == []
+
+
+def _is_object_attr(node: ast.AST, attr: str) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def _unchecked_wraps(tree: ast.Module) -> list[int]:
+    """Lines that read object.__new__, a coeff_h or coeff_e slot's __set__,
+    or object.__setattr__ anywhere but as a call on `self`."""
+    on_self = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "self"
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_object_attr(node, "__new__")
+        or (_is_object_attr(node, "__setattr__") and id(node) not in on_self)
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__set__"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("coeff_h", "coeff_e")
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in FILES if p != ROOT / "src" / "delpezzo" / "lattice.py"],
+    ids=lambda p: p.relative_to(ROOT).as_posix(),
+)
+def test_unchecked_wrapping_lives_in_lattice_alone(path):
+    lines = _unchecked_wraps(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} wraps unchecked on lines {lines}; use lattice._vector"
+
+
+def test_scan_flags_an_unchecked_wrap():
+    tree = ast.parse(
+        "v = object.__new__(LatticeVector)\nobject.__setattr__(v, 'coeff_h', 1)\n"
+        "LatticeVector.coeff_e.__set__(v, ())\nnew, put = object.__new__, object.__setattr__\n"
+        "class P:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 0)\n"
+        "        self.coeff_h = 'coeff_h.__set__'\n"
+    )
+    assert _unchecked_wraps(tree) == [1, 2, 3, 4, 4]

@@ -43,6 +43,7 @@ from helpers import (
     random_vector,
     random_word,
     reverse_search_orbit,
+    wrap_mismatches,
 )
 
 WEYL_ORDER = {4: 120, 5: 1920, 6: 51840}
@@ -402,6 +403,15 @@ def test_orbit_leaves_the_collector_as_it_found_it(collector_state, enabled, mon
     with pytest.raises(InternalError):
         orbit(M6.e(6), M6)
     assert gc.isenabled() is enabled
+
+
+def test_orbit_vectors_match_constructed_ones():
+    # orbit wraps in bulk through the slot setters, orbit_of_set one by one
+    M6, M8 = make_marked_lattice(6), make_marked_lattice(8)
+    listed = orbit(dual_basis_lifts(M6)[2], M6) + orbit(M8.e(8), M8)
+    listed += [v for pair in orbit_of_set([M6.e(5), M6.e(6)], M6) for v in pair]
+    assert len(listed) == 720 + 240 + 2 * 216
+    assert wrap_mismatches(listed) == []
 
 
 def test_orbit_invariant_under_conjugated_generators():
