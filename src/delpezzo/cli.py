@@ -22,14 +22,15 @@ from typing import Sequence
 from . import __version__
 from .degeneration import make_configuration, orbit_decomposition
 from .errors import DomainError, OrbitCapError
-from .geometry import (
-    _check_adjunction,
-    coplanar_triples,
-    disjoint_line_sets,
-    double_sixes,
-    lines,
+from .geometry import _check_adjunction, coplanar_triples, disjoint_line_sets, double_sixes
+from .lattice import (
+    _symbols,
+    _texts_of_type,
+    degree,
+    make_marked_lattice,
+    parse_vector,
+    vectors_of_type,
 )
-from .lattice import _symbols, _texts_of_type, degree, make_marked_lattice, parse_vector
 from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
 from .roots import enumerate_roots, positive_roots
 from .weights import (
@@ -141,7 +142,7 @@ def _handle_degenerate(args, lattice):
     curve_texts = args.curves.split(",")
     curves = [parse_vector(t, lattice.r) for t in curve_texts]
     config = make_configuration(curves, lattice)
-    weight_set = [c.vector for c in lines(lattice)]
+    weight_set = vectors_of_type(lattice, -1, 1)
     parts = orbit_decomposition(config, weight_set, lattice)
     items = [
         {

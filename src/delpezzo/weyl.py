@@ -11,8 +11,8 @@ to a and subtracts it from c_1, c_2, c_3.  Words and descents use this
 kernel.  Orbits use its quotient by S_r = <s_1, ..., s_{r-1}>, the
 permutations of c: a Weyl orbit is the disjoint union of the S_r-orbits
 of the (a, sorted c) in it, found by closing them under s_r.  Orbits
-of sets act on int indices interned for the call: each vector met is
-reflected once per generator into a table of index moves.
+of sets act on int indices into the sorted union of the members' orbits,
+through a table of each index's simple reflections.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ def _check_index(i: int, lattice: MarkedLattice) -> None:
 
 def apply_word(word: Iterable[int], v: LatticeVector, lattice: MarkedLattice) -> LatticeVector:
     """Apply simple reflections left to right (first index acts first)."""
-    t = None
+    t = _coeffs(v, lattice)
     for i in word:
         _check_index(i, lattice)
-        t = _reflect(_coeffs(v, lattice) if t is None else t, i)
-    return v if t is None else _vector(t)
+        t = _reflect(t, i)
+    return _vector(t)
 
 
 def _capped_orbit_size(v: LatticeVector, lattice: MarkedLattice, cap: int) -> tuple[Coeffs, int]:
@@ -202,6 +202,23 @@ def _capped_orbit_size(v: LatticeVector, lattice: MarkedLattice, cap: int) -> tu
     return dom, size
 
 
+def _listing(dom: Coeffs, size: int) -> tuple[list[int], list[Coeffs]]:
+    """Heights and tails of the orbit of the dominant tuple dom, in
+    lexicographic order, by S_r-quotient: the (a, sorted c) in it are
+    closed under s_r from dom, each gives the distinct permutations of its
+    c, and only a height held by several of them needs a sort.
+    InternalError unless the listing has `size` elements."""
+    heights, tails = [], []
+    for a, qs in groupby(sorted(closure(dom, _sorted_images)), itemgetter(0)):
+        qs = list(qs)
+        found = [p for q in qs for p in _arrangements(q[1:], {})]
+        heights += repeat(a, len(found))
+        tails += sorted(found) if len(qs) > 1 else found
+    if len(tails) != size:
+        raise InternalError(f"orbit listing found {len(tails)} elements, |W|/|W_J| = {size}")
+    return heights, tails
+
+
 def orbit(
     v: LatticeVector, lattice: MarkedLattice, cap: int = DEFAULT_ORBIT_CAP
 ) -> list[LatticeVector]:
@@ -209,26 +226,15 @@ def orbit(
 
     The orbit size |W|/|W_J|, J the zero labels of the dominant
     representative, is checked against the limit of lattice._cap_limit
-    before any work.  The orbit is then listed by S_r-quotient: the
-    (a, sorted c) in it are closed under s_r from the dominant one, and
-    each gives the distinct permutations of its c.  Taken by increasing a,
-    only a group of several representatives needs a sort; the heights and
-    permutations go to lattice._vectors as they are.  The listing makes no
-    reference cycles, so the cyclic collector is paused while it runs.
+    before any work; _listing's heights and permutations then go to
+    lattice._vectors as they are.  The listing makes no reference cycles,
+    so the cyclic collector is paused while it runs.
     """
     dom, size = _capped_orbit_size(v, lattice, cap)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        heights, tails = [], []
-        for a, qs in groupby(sorted(closure(dom, _sorted_images)), itemgetter(0)):
-            qs = list(qs)
-            found = [p for q in qs for p in _arrangements(q[1:], {})]
-            heights += repeat(a, len(found))
-            tails += sorted(found) if len(qs) > 1 else found
-        if len(tails) != size:
-            raise InternalError(f"orbit listing found {len(tails)} elements, |W|/|W_J| = {size}")
-        return _vectors(heights, tails)
+        return _vectors(*_listing(dom, size))
     finally:
         if enabled:
             gc.enable()
@@ -243,43 +249,31 @@ def orbit_of_set(
 
     Elements are kept as sorted tuples, so the action is on k-element
     multisets; used for transitivity checks on line k-tuples.
-    The sets share few vectors, so each vector met gets an int index for
-    the call, and moves[x] holds the indices of its simple reflections,
-    filled when a set holding x is first expanded.  Breadth-first closure
-    (lattice.closure) of the sorted index tuple under those moves; raises
-    OrbitCapError once it needs more elements than the cap admits.  Indices
-    relabelled by lexicographic rank make the sorted member tuples.
+    Each w.S holds w.x for every member x, so the set orbit meets exactly
+    the union of the members' orbits, at most k of them per set (k distinct
+    members): a member orbit over k times the limit of lattice._cap_limit
+    raises OrbitCapError before any listing.  Otherwise the member orbits
+    (_listing) form one sorted pool, so a pool index is a lexicographic
+    rank, and moves[x] holds the indices of pool[x]'s simple reflections.
+    The sorted index tuple is closed under those moves by lattice.closure,
+    which raises OrbitCapError once it needs more sets than the cap admits.
     """
-    index: dict[Coeffs, int] = {}
-    tuples: list[Coeffs] = []
-    moves: list[list[int] | None] = []
-
-    def intern(t: Coeffs) -> int:
-        x = index.get(t)
-        if x is None:
-            x = index[t] = len(tuples)
-            tuples.append(t)
-            moves.append(None)
-        return x
-
-    start = tuple(sorted(intern(_coeffs(u, lattice)) for u in vectors))
-    gens = range(1, lattice.r + 1)
-
-    def row(x: int) -> list[int]:
-        out = moves[x]
-        if out is None:
-            out = moves[x] = [intern(_reflect(tuples[x], i)) for i in gens]
-        return out
+    starts = [_coeffs(u, lattice) for u in vectors]
+    limit = _cap_limit(cap)
+    k = len(set(starts))
+    sizes = {dom: _orbit_size(dom) for dom, _ in map(_descend, starts)}
+    if any(size > k * limit for size in sizes.values()):
+        raise OrbitCapError(cap, limit)
+    pool = sorted((a, *p) for d, n in sizes.items() for a, p in zip(*_listing(d, n)))
+    index = {t: x for x, t in enumerate(pool)}
+    moves = [[index[_reflect(t, i)] for i in range(1, lattice.r + 1)] for t in pool]
 
     def images(tup: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        return map(tuple, map(sorted, zip(*map(row, tup))))
+        return map(tuple, map(sorted, zip(*map(moves.__getitem__, tup))))
 
-    seen = closure(start, images, cap)
-    order = sorted(range(len(tuples)), key=tuples.__getitem__)
-    rank = {x: j for j, x in enumerate(order)}
-    wrapped = [_vector(tuples[x]) for x in order]
-    ranked = sorted(tuple(sorted(map(rank.__getitem__, tup))) for tup in seen)
-    return [tuple(map(wrapped.__getitem__, tup)) for tup in ranked]
+    seen = closure(tuple(sorted(map(index.__getitem__, starts))), images, cap)
+    wrapped = list(map(_vector, pool))
+    return [tuple(map(wrapped.__getitem__, tup)) for tup in sorted(seen)]
 
 
 def is_dominant(v: LatticeVector, lattice: MarkedLattice) -> bool:

@@ -114,6 +114,11 @@ def test_apply_word_order():
     assert apply_word((), v, M) == v
     with pytest.raises(DomainError):
         apply_word((5,), v, M)
+    # the rank is checked whatever the word, the empty one too
+    for word in ((), (1,), (9,)):
+        with pytest.raises(DomainError) as exc:
+            apply_word(word, make_marked_lattice(5).h, make_marked_lattice(6))
+        assert str(exc.value) == "rank mismatch: 5 vs 6"
 
 
 @pytest.mark.parametrize("r, sizes", [
@@ -344,6 +349,10 @@ def _moved_lines(r, k):
         # a root and a line orthogonal to it: 72 roots, 15 lines each
         pytest.param(6, lambda M: [M.simple_coroots[0], M.e(6)], 1080, id="6-root-and-line"),
         pytest.param(8, lambda M: [M.e(8), M.e(7)], 6720, id="8-2-6720"),
+        # {alpha, -alpha}: 240 roots in the member orbit, two in each set
+        pytest.param(
+            8, lambda M: [M.simple_coroots[0], -M.simple_coroots[0]], 120, id="8-root-pair"
+        ),
     ],
 )
 def test_orbit_of_set_matches_bfs_oracle(r, members, size):
@@ -366,6 +375,28 @@ def test_orbit_of_set_cap_boundary():
         assert str(exc.value) == f"orbit exceeded cap of {cap} elements ({limit} found so far)"
     assert orbit_of_set(pair, M, cap=216) == bfs_orbit_of_set(pair, M)
     assert orbit_of_set([M.kappa], M, cap=0) == [(M.kappa,)]
+    # 120 sets {beta, -beta} from 240 roots: the pre-check allows k = 2
+    # member orbit elements per set, so only the closure meets cap 119
+    M8 = make_marked_lattice(8)
+    alpha = M8.simple_coroots[0]
+    with pytest.raises(OrbitCapError) as exc:
+        orbit_of_set([alpha, -alpha], M8, cap=119)
+    assert (exc.value.cap, exc.value.partial_count) == (119, 119)
+    assert str(exc.value) == "orbit exceeded cap of 119 elements (119 found so far)"
+    assert len(orbit_of_set([alpha, -alpha], M8, cap=120)) == 120
+
+
+def test_orbit_of_set_checks_the_member_orbit_before_any_search(monkeypatch):
+    # the orbit of a regular vector is all of W(E8), over the default cap
+    M = make_marked_lattice(8)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("orbit_of_set searched before checking its cap")
+
+    monkeypatch.setattr(weyl, "closure", no_search)
+    with pytest.raises(OrbitCapError) as exc:
+        orbit_of_set([LatticeVector(10, (1, 2, 3, 4, 5, 6, 7, 8))], M)
+    assert (exc.value.cap, exc.value.partial_count) == (10**7, 10**7)
 
 
 @pytest.fixture
