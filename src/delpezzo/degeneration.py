@@ -9,13 +9,13 @@ into the pieces that collide in the degeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .geometry import CurveClass, lines
-from .lattice import LatticeVector, MarkedLattice, _coeffs, _vector, _vector_of, closure, inner
+from .geometry import CurveClass, _line_table
+from .lattice import LatticeVector, MarkedLattice, _coeffs, _dual_row, _vector, _vector_of, closure
 from .roots import DynkinType, Root, dynkin_type
-from .weyl import _reflect_in
 
 __all__ = [
     "RdpConfiguration",
@@ -59,6 +59,14 @@ class SubOrbit:
         return len(self.members)
 
 
+class _Multiples(dict):
+    """m -> m * g for one coefficient tuple g = self[1], each made on first use."""
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        self[m] = mg = tuple(m * c for c in self[1])
+        return mg
+
+
 def orbit_decomposition(
     config: RdpConfiguration,
     weights: Iterable[LatticeVector],
@@ -71,16 +79,26 @@ def orbit_decomposition(
     "extension pair" (the two classes that collide in the degeneration).
     Each orbit is a breadth-first closure (lattice.closure) on coefficient
     tuples (a, c_1, ..., c_r); weights must have rank r, else DomainError.
+    The image of x in a curve g is x + m g, m = <x, g> = sum(map(mul, x, d))
+    for g's dual row d, and is made only when m != 0.  Members given in
+    `weights` come back as passed; only those the closure adds are wrapped.
     """
     gens = [_coeffs(c.vector, lattice) for c in config.curves]
+    rows = [(_Multiples({1: g}), _dual_row(g)) for g in gens]
     gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
+
+    def images(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple(map(add, x, mg[m])) for mg, d in rows if (m := sum(map(mul, x, d)))]
+
+    given = {_coeffs(w, lattice): w for w in weights}
     seen: set[tuple[int, ...]] = set()
     orbits = []
-    for v in {_coeffs(w, lattice) for w in weights}:
+    for v in given:
         if v not in seen:
-            orb = closure(v, lambda u: (_reflect_in(u, g) for g in gens))
+            orb = closure(v, images)
             seen |= orb
             orbits.append(sorted(orb))
+    given.update((t, _vector(t)) for t in seen.difference(given))
     parts = []
     for orb in sorted(orbits):  # disjoint orbits: ordered by least member
         if len(orb) == 1:
@@ -89,7 +107,7 @@ def orbit_decomposition(
             label = "extension pair"
         else:
             label = "orbit"
-        members = tuple(map(_vector, orb))
+        members = tuple(map(given.__getitem__, orb))
         parts.append(SubOrbit(members[0], members, label))
     return parts
 
@@ -100,10 +118,13 @@ def incident_lines(
     """Line classes moved by the configuration, i.e. meeting some C_j.
 
     These are exactly the classes of lines through the singular points;
-    the complement is the fixed-point set of the sub-Weyl action.
+    the complement is the fixed-point set of the sub-Weyl action.  Each
+    line of geometry._line_table is paired with each curve's dual row.
     """
+    vecs, ts, _ = _line_table(lattice.r)
+    rows = [_dual_row(_coeffs(c.vector, lattice)) for c in config.curves]
     return [
-        c
-        for c in lines(lattice)
-        if any(inner(c.vector, g.vector) != 0 for g in config.curves)
+        CurveClass(v, -1, 1)
+        for v, t in zip(vecs, ts)
+        if any(sum(map(mul, d, t)) for d in rows)
     ]

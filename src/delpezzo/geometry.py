@@ -5,11 +5,14 @@ degree) data; the r = 6 lattice additionally carries the classical
 incidence structures: 45 coplanar triples, 72 sixes, 36 double sixes.
 Each double six is read straight off one positive root rho: its two sixes
 are the lines L with <L, rho> = +1 and those with <L, rho> = -1.
+The searches on lines read them from one lazy table per rank, _line_table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, InternalError
@@ -17,7 +20,9 @@ from .lattice import (
     LatticeVector,
     MarkedLattice,
     _coeffs,
+    _dual_row,
     _form,
+    _tuples_of_type,
     _vector,
     _vector_of,
     degree,
@@ -87,11 +92,11 @@ def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
     """
     if lattice.r != 6:
         raise DomainError("coplanar triples require r = 6")
-    return _triples_summing_to(vectors_of_type(lattice, -1, 1), lattice.kappa)
+    return _triples_summing_to(_line_table(6)[0], lattice.kappa)
 
 
 def _triples_summing_to(
-    vecs: list[LatticeVector], total: LatticeVector
+    vecs: tuple[LatticeVector, ...], total: LatticeVector
 ) -> list[frozenset[LatticeVector]]:
     """Unordered triples of distinct members of `vecs` summing to `total`.
 
@@ -108,28 +113,37 @@ def _triples_summing_to(
     return triples
 
 
+@lru_cache(maxsize=None)
+def _line_table(r: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The rank-r lines in increasing order, as vectors and as coefficient
+    tuples, and masks: bit j of later[i] is set when j > i and lines i and
+    j are disjoint.  Keyed on the int r, since hashing a lattice hashes
+    its vectors; it holds only tuples, so every list handed out is fresh.
+    """
+    ts = tuple(_tuples_of_type(r, -1, 1))
+    later = tuple(
+        sum(1 << j for j, u in enumerate(ts[i + 1 :], i + 1) if not sum(map(mul, d, u)))
+        for i, d in enumerate(map(_dual_row, ts))
+    )
+    return tuple(map(_vector, ts)), ts, later
+
+
 def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[LatticeVector]]:
     """All k-element sets of pairwise-disjoint line classes, in sorted order.
 
     The sets are the k-cliques of the disjointness graph on the lines,
-    found by backtracking on int bitmasks (after Bron & Kerbosch, 1973):
-    bit j of later[i] is set when j > i and lines i and j are disjoint, and
-    each partial clique that can still be completed is extended by its
-    lowest candidate bit first.  The lines are listed in increasing order,
-    so the cliques come out as index-ascending tuples in lexicographic
-    order, which is the order of the sets' sorted member tuples; no sort
-    is needed.  A clique is built as `chosen | single[i]` from per-call
-    singletons: a union copies stored hashes, so each line is hashed once.
+    found by backtracking on the int bitmasks of the per-rank line table
+    (_line_table; after Bron & Kerbosch, 1973): each partial clique that
+    can still be completed is extended by its lowest candidate bit first.
+    The lines are listed in increasing order, so the cliques come out as
+    index-ascending tuples in lexicographic order, which is the order of
+    the sets' sorted member tuples; no sort is needed.  A clique is built
+    as `chosen | single[i]` from per-call singletons: a union copies
+    stored hashes, so each line is hashed once per call.
     """
     if not (isinstance(k, int) and 1 <= k <= lattice.r):
         raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
-    vecs = vectors_of_type(lattice, -1, 1)
-    ts = [v.coeffs() for v in vecs]
-    # A 1-clique is never extended, so k = 1 reads no mask.
-    later = [
-        sum(1 << j for j in range(i + 1, len(ts)) if not _form(ts[i], ts[j]))
-        for i in range(len(ts) if k > 1 else 0)
-    ]
+    vecs, _, later = _line_table(lattice.r)
     single = [frozenset((v,)) for v in vecs]
     out: list[frozenset[LatticeVector]] = []
 
@@ -209,11 +223,13 @@ def double_sixes(
     """
     if lattice.r != 6:
         raise DomainError("double sixes require r = 6")
-    vecs = vectors_of_type(lattice, -1, 1)
+    vecs, ts, _ = _line_table(6)
     pairs = []
     for rho in positive_roots(lattice):
-        plus = [v for v in vecs if inner(v, rho.vector) == 1]
-        minus = [v for v in vecs if inner(v, rho.vector) == -1]
+        d = _dual_row(rho.vector.coeffs())
+        pairing = [sum(map(mul, d, t)) for t in ts]
+        plus = [v for v, x in zip(vecs, pairing) if x == 1]
+        minus = [v for v, x in zip(vecs, pairing) if x == -1]
         if len(plus) != 6 or len(minus) != 6:
             raise InternalError(f"root {rho.vector} splits the lines {len(plus)}/{len(minus)}")
         _check_double_six(plus, minus)

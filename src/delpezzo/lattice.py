@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OrbitCapError, VectorParseError
@@ -196,8 +196,14 @@ def anticanonical(r: int) -> LatticeVector:
 
 def _form(t: tuple[int, ...], u: tuple[int, ...]) -> int:
     """The intersection form (1, -1, ..., -1) on coefficient tuples
-    (a, c_1, ..., c_r); the only copy of it in the package."""
+    (a, c_1, ..., c_r); the only copy of it in the package, apart from
+    the rows of _dual_row."""
     return 2 * t[0] * u[0] - sum(map(mul, t, u))
+
+
+def _dual_row(t: tuple[int, ...]) -> tuple[int, ...]:
+    """The row (a, -c_1, ..., -c_r): sum(map(mul, row, u)) == _form(t, u)."""
+    return (t[0], *map(neg, t[1:]))
 
 
 def inner(a: LatticeVector, b: LatticeVector) -> int:

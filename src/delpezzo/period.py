@@ -20,7 +20,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError
-from .lattice import LatticeVector, MarkedLattice, anticanonical, closure
+from .lattice import LatticeVector, MarkedLattice, _cap_limit, anticanonical, closure
 from .roots import cartan_matrix
 from .weyl import DEFAULT_ORBIT_CAP
 
@@ -178,8 +178,10 @@ def weyl_canonicalize(
     neighbours of j (Cartan entry -1) and leaves the rest alone, so it
     fixes tuples with v_j = 0.  Breadth-first closure (lattice.closure) under these maps on
     tuples of packed residues, capped at `cap` tuples; only the least tuple
-    is turned back into TorsionPoints.
+    is turned back into TorsionPoints.  A cap that is not an int, None
+    too, raises DomainError (lattice._cap_limit) before the search.
     """
+    _cap_limit(cap)
     n, start = _coroot_residues(period, lattice)
     nn = n * n
     moves = [

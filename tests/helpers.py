@@ -35,9 +35,9 @@ from delpezzo import (
     root_from_six,
     zero_vector,
 )
-from delpezzo.lattice import _symbols, _term, _vector, closure
+from delpezzo.lattice import _coeffs, _symbols, _term, _vector, closure
 from delpezzo.roots import as_root_vector
-from delpezzo.weyl import _labels, dominant_representative
+from delpezzo.weyl import _labels, _reflect_in, dominant_representative
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -584,3 +584,40 @@ def bfs_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[Sub
             label = "orbit"
         parts.append(SubOrbit(members[0], members, label))
     return sorted(parts, key=lambda p: p.representative)
+
+
+def reflect_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[SubOrbit]:
+    """Sub-Weyl orbits by lattice.closure over weyl._reflect_in on coefficient
+    tuples, every member wrapped anew: the path degeneration.orbit_decomposition
+    took before it reflected through dual rows and kept the given vectors.
+    Oracle for degeneration.orbit_decomposition."""
+    gens = [_coeffs(c.vector, lattice) for c in config.curves]
+    gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for v in {_coeffs(w, lattice) for w in weights}:
+        if v not in seen:
+            orb = closure(v, lambda u: (_reflect_in(u, g) for g in gens))
+            seen |= orb
+            orbits.append(sorted(orb))
+    parts = []
+    for orb in sorted(orbits):
+        if len(orb) == 1:
+            label = "singleton"
+        elif len(orb) == 2 and tuple(y - x for x, y in zip(*orb)) in gen_set:
+            label = "extension pair"
+        else:
+            label = "orbit"
+        members = tuple(map(_vector, orb))
+        parts.append(SubOrbit(members[0], members, label))
+    return parts
+
+
+def inner_incident_lines(config, lattice: MarkedLattice) -> list:
+    """The lines of geometry.lines meeting some configuration curve, by
+    `inner`.  Oracle for degeneration.incident_lines."""
+    return [
+        c
+        for c in lines(lattice)
+        if any(inner(c.vector, g.vector) != 0 for g in config.curves)
+    ]

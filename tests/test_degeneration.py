@@ -19,7 +19,14 @@ from delpezzo import (
     orbit_decomposition,
     positive_roots,
 )
-from helpers import bfs_orbit_decomposition, random_vector, random_word
+from helpers import (
+    bfs_orbit_decomposition,
+    inner_incident_lines,
+    random_vector,
+    random_word,
+    reflect_orbit_decomposition,
+    wrap_mismatches,
+)
 
 
 def _line_vectors(M):
@@ -207,6 +214,44 @@ def test_decomposition_matches_oracle_off_kappa_perp(r):
         weights = [random_vector(rng, r) for _ in range(8)]
         weights = [v for v in weights if degree(v, M) != 0]
         _assert_matches_oracle(cfg, weights, M)
+
+
+def _assert_matches_reflect_oracle(cfg, weights, M):
+    got = orbit_decomposition(cfg, weights, M)
+    want = reflect_orbit_decomposition(cfg, weights, M)
+    assert [(p.representative, p.members, p.label) for p in got] == [
+        (p.representative, p.members, p.label) for p in want
+    ]
+    given = {w: w for w in weights}
+    for p in got:
+        assert p.members[0] is p.representative
+        for v in p.members:
+            assert v is given.get(v, v)  # a given member is the vector passed
+    return got
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_decomposition_matches_reflect_oracle_on_moved_subsets(r):
+    # ten configurations per rank, built as the incidence benchmark builds
+    # them: a random set of simple coroots moved by a random Weyl word
+    M = make_marked_lattice(r)
+    rng = random.Random(2100 + r)
+    line_vecs = _line_vectors(M)
+    conic_vecs = [c.vector for c in conics(M)]
+    added = []
+    for _ in range(10):
+        nodes = rng.sample(range(r), rng.randint(0, r))
+        cfg = _moved_configuration(M, nodes, random_word(rng, r))
+        for weights in (line_vecs, conic_vecs):
+            _assert_matches_reflect_oracle(cfg, weights, M)
+        # a sample that the configuration need not preserve: the closure
+        # adds the classes it reaches that nobody passed
+        sample = rng.sample(line_vecs + conic_vecs, len(line_vecs) // 2)
+        parts = _assert_matches_reflect_oracle(cfg, sample, M)
+        passed = set(sample)
+        added += [v for p in parts for v in p.members if v not in passed]
+        assert incident_lines(cfg, M) == inner_incident_lines(cfg, M)
+    assert added and wrap_mismatches(added) == []
 
 
 def test_decomposition_rejects_inexact_or_misranked_weights():

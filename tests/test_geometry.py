@@ -20,15 +20,17 @@ from delpezzo import (
     dual_basis_lifts,
     enumerate_classes,
     enumerate_roots,
+    incident_lines,
     inner,
     lines,
+    make_configuration,
     make_marked_lattice,
     orbit,
     positive_roots,
     root_from_six,
     vectors_of_type,
 )
-from delpezzo.geometry import _triples_summing_to
+from delpezzo.geometry import _line_table, _triples_summing_to
 from helpers import (
     LINE_COUNTS,
     backtrack_disjoint_line_sets,
@@ -158,6 +160,34 @@ def test_disjoint_line_set_members_match_constructed_ones():
     members = [v for s in disjoint_line_sets(make_marked_lattice(6), 3) for v in s]
     assert len(members) == 3 * 720
     assert wrap_mismatches(members) == []
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_line_table_matches_inner(r):
+    vecs, ts, later = _line_table(r)
+    assert list(vecs) == [c.vector for c in lines(make_marked_lattice(r))]
+    assert ts == tuple(v.coeffs() for v in vecs)
+    assert wrap_mismatches(vecs) == []
+    for i, a in enumerate(vecs):
+        want = sum(1 << j for j, b in enumerate(vecs) if j > i and inner(a, b) == 0)
+        assert later[i] == want, (r, a)
+
+
+def test_line_table_holds_only_tuples():
+    # the lists handed out are fresh, so mutating one changes no later call
+    vecs, ts, later = _line_table(6)
+    assert all(type(x) is tuple for x in (vecs, ts, later))
+    M = make_marked_lattice(6)
+    sets = disjoint_line_sets(M, 2)
+    want = list(sets)
+    sets.clear()
+    assert disjoint_line_sets(M, 2) == want
+    cfg = make_configuration([M.e(1) - M.e(2)], M)
+    moved = incident_lines(cfg, M)
+    want = list(moved)
+    moved.pop()
+    assert incident_lines(cfg, M) == want
+    assert _line_table(6) == (vecs, ts, later)
 
 
 @pytest.mark.parametrize("r,weyl_order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])

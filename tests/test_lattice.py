@@ -367,6 +367,13 @@ def test_float_arguments_raise_domain_error(entry, value):
         NON_INT_ENTRY_POINTS[entry](value)
 
 
+@pytest.mark.parametrize("entry", sorted(e for e in NON_INT_ENTRY_POINTS if e.endswith(" cap")))
+def test_none_cap_raises_domain_error(entry):
+    # None is no cap; no search runs unbounded for it
+    with pytest.raises(DomainError, match="cap must be an integer"):
+        NON_INT_ENTRY_POINTS[entry](None)
+
+
 def test_bool_arguments_count_as_ints():
     # bool is an int subclass, and LatticeVector accepts it as one too
     assert basis_e(6, True) == basis_e(6, 1)
