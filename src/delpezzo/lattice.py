@@ -8,9 +8,10 @@ All arithmetic is arbitrary-precision integer/rational, never floating
 point, so invariants hold exactly.
 
 Exactness is checked once, in the LatticeVector constructor, which
-raises DomainError for any coefficient that is not an int; results that
-are ints by construction are wrapped unchecked, here alone, by _vector
-and, with no Python call per vector, by _vectors.
+raises DomainError for any coefficient that is not an int and stores each
+as a plain int, bools too; results that are ints by construction are
+wrapped unchecked, here alone, by _vector and, with no Python call per
+vector, by _vectors.
 
 Vectors of a given type come from one generator, _walk, which yields
 them in lexicographic order without holding them: a depth-first walk
@@ -77,6 +78,8 @@ class LatticeVector:
         for c in (self.coeff_h, *self.coeff_e):
             if not isinstance(c, int):
                 raise DomainError(f"vector coefficients must be integers, got {c!r}")
+        _set_h(self, int(self.coeff_h))  # a bool is stored as the int it counts as
+        _set_e(self, tuple(map(int, self.coeff_e)))
 
     @property
     def rank(self) -> int:

@@ -6,10 +6,10 @@ group acts by precomposition; canonicalization picks the lexicographically
 least coroot-value tuple on the orbit.
 
 The arithmetic runs on one integer kernel of residues.  With N the lcm of
-the denominators of a period's images, the torus value (X/N, Y/N), with
-0 <= X, Y < N, is the int X*N + Y; this packing orders values as
-TorsionPoint does, by (x, y).  Values on vectors are integer dot products
-mod N, and TorsionPoint appears only at the API boundary.
+the denominators of a period's images, the torus value (X/N, Y/N) is its
+residue pair (X, Y), 0 <= X, Y < N, which orders as TorsionPoint does.
+Values on vectors are integer dot products mod N, one per coordinate, and
+TorsionPoint appears only at the API boundary.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ConstraintError, DomainError
@@ -110,25 +111,25 @@ def _residues(points: Sequence[TorsionPoint]) -> tuple[int, list[int], list[int]
     return n, xs, ys
 
 
-def _dot(coeffs: Sequence[int], xs: list[int], ys: list[int], n: int) -> int:
-    """Packed residue of the combination sum_i coeffs[i] * (xs[i], ys[i])."""
-    x = sum(c * v for c, v in zip(coeffs, xs)) % n
-    return x * n + sum(c * v for c, v in zip(coeffs, ys)) % n
+def _dot(coeffs: Sequence[int], xs: list[int], ys: list[int], n: int) -> tuple[int, int]:
+    """Residue pair of the combination sum_i coeffs[i] * (xs[i], ys[i])."""
+    return sum(map(mul, coeffs, xs)) % n, sum(map(mul, coeffs, ys)) % n
 
 
-def _point(value: int, n: int) -> TorsionPoint:
-    x, y = divmod(value, n)
-    return TorsionPoint(Fraction(x, n), Fraction(y, n))
+def _points(values: tuple[int, ...], n: int) -> tuple[TorsionPoint, ...]:
+    """TorsionPoints of a flat tuple of residue pairs (x_1, y_1, ..., x_k, y_k)."""
+    pairs = zip(values[::2], values[1::2])
+    return tuple(TorsionPoint(Fraction(x, n), Fraction(y, n)) for x, y in pairs)
 
 
 def _coroot_residues(
     period: PeriodHomomorphism, lattice: MarkedLattice
 ) -> tuple[int, tuple[int, ...]]:
-    """N and the packed values of the period on the simple coroots."""
+    """N and the residue pairs on the simple coroots, flat: (x_1, y_1, ..., x_r, y_r)."""
     if period.r != lattice.r:
         raise DomainError(f"period rank {period.r} != lattice rank {lattice.r}")
     n, xs, ys = _residues(period.images)
-    return n, tuple(_dot(a.coeffs(), xs, ys, n) for a in lattice.simple_coroots)
+    return n, tuple(v for a in lattice.simple_coroots for v in _dot(a.coeffs(), xs, ys, n))
 
 
 # --- public API ---------------------------------------------------------------
@@ -143,9 +144,9 @@ def make_period(points: Sequence[TorsionPoint]) -> PeriodHomomorphism:
         )
     n, xs, ys = _residues(images)
     residue = _dot(anticanonical(len(images) - 1).coeffs(), xs, ys, n)
-    if residue:
+    if any(residue):
         raise ConstraintError(
-            f"kappa image must vanish; got {_point(residue, n)} from these assignments"
+            f"kappa image must vanish; got {_points(residue, n)[0]} from these assignments"
         )
     return PeriodHomomorphism(images)
 
@@ -155,7 +156,7 @@ def evaluate(period: PeriodHomomorphism, v: LatticeVector) -> TorsionPoint:
     if v.rank != period.r:
         raise DomainError(f"vector rank {v.rank} != period rank {period.r}")
     n, xs, ys = _residues(period.images)
-    return _point(_dot(v.coeffs(), xs, ys, n), n)
+    return _points(_dot(v.coeffs(), xs, ys, n), n)[0]
 
 
 def restrict_to_coroots(
@@ -163,7 +164,7 @@ def restrict_to_coroots(
 ) -> tuple[TorsionPoint, ...]:
     """Values on the simple coroots; zero everywhere iff the period kills kappa-perp."""
     n, values = _coroot_residues(period, lattice)
-    return tuple(_point(v, n) for v in values)
+    return _points(values, n)
 
 
 def weyl_canonicalize(
@@ -176,34 +177,28 @@ def weyl_canonicalize(
     Precomposing with the reflection s_j sends the value tuple v to
     v_i + <alpha_i, alpha_j> v_j: it negates v_j, adds v_j to the Dynkin
     neighbours of j (Cartan entry -1) and leaves the rest alone, so it
-    fixes tuples with v_j = 0.  Breadth-first closure (lattice.closure) under these maps on
-    tuples of packed residues, capped at `cap` tuples; only the least tuple
-    is turned back into TorsionPoints.  A cap that is not an int, None
-    too, raises DomainError (lattice._cap_limit) before the search.
+    fixes tuples with v_j = 0.  Breadth-first closure (lattice.closure) under
+    these maps on flat tuples of residue pairs, x_j and y_j at 2j and 2j + 1,
+    capped at `cap` tuples; only the least tuple is turned back into
+    TorsionPoints.  A cap that is not an int, None too, raises DomainError
+    (lattice._cap_limit) before the search.
     """
     _cap_limit(cap)
     n, start = _coroot_residues(period, lattice)
-    nn = n * n
     moves = [
-        (j, [i for i, c in enumerate(row) if c == -1])
+        (2 * j, [2 * i for i, c in enumerate(row) if c == -1])
         for j, row in enumerate(cartan_matrix(lattice))
     ]
 
     def images(tup):
         for j, neighbours in moves:
-            v = tup[j]
-            if not v:
+            vx, vy = tup[j], tup[j + 1]
+            if not (vx or vy):
                 continue
-            vx, vy = divmod(v, n)
             image = list(tup)
-            image[j] = -vx % n * n + -vy % n
+            image[j], image[j + 1] = -vx % n, -vy % n
             for i in neighbours:
-                w = image[i] + v
-                if w % n < vy:  # y wrapped past N and carried into x
-                    w -= n
-                if w >= nn:
-                    w -= nn
-                image[i] = w
+                image[i], image[i + 1] = (image[i] + vx) % n, (image[i + 1] + vy) % n
             yield tuple(image)
 
-    return tuple(_point(v, n) for v in min(closure(start, images, cap)))
+    return _points(min(closure(start, images, cap)), n)

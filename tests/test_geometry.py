@@ -265,6 +265,9 @@ def test_root_from_six():
     assert rho.vector == 2 * M.h - esum(6, range(1, 7))
     other = [2 * M.h - (esum(6, range(1, 7)) - M.e(i)) for i in range(1, 7)]
     assert root_from_six(other, M).vector == -rho.vector
+    for r in (5, 7):
+        with pytest.raises(DomainError, match="^sixes require r = 6$"):
+            root_from_six(std, make_marked_lattice(r))
 
 
 def test_root_from_six_covers_all_roots():

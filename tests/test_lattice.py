@@ -133,7 +133,11 @@ def test_vector_constructor_rejects_inexact_coefficients(bad):
 
 
 def test_vector_constructor_accepts_bools():
-    assert LatticeVector(True, (False, 2)) == LatticeVector(1, (0, 2))
+    v = LatticeVector(True, (False, 2))
+    assert v == LatticeVector(1, (0, 2))
+    # stored as plain ints, so coeffs() and repr show 1 and 0, not True and False
+    assert all(type(c) is int for c in v.coeffs())
+    assert repr(v) == "LatticeVector(coeff_h=1, coeff_e=(0, 2))"
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,10 @@ def test_torsion_point_arithmetic():
     assert (HALF - HALF).is_zero()
     assert str(third) == "1/3,0"
     assert str(Z) == "0,0"
+    with pytest.raises(TypeError):
+        third * 1.5
+    with pytest.raises(TypeError):
+        1.5 * third
 
 
 def test_torsion_point_rejects_floats():
@@ -76,6 +80,7 @@ def test_torsion_point_normalizes_mod_one():
         (-2, Fraction(0)),
         (Fraction(1), Fraction(0)),
         (Fraction(2, 5), Fraction(2, 5)),
+        (True, Fraction(0)),  # a bool is an int: Fraction(True) % 1
     ]
     for given, want in cases:
         p = TorsionPoint(given, given)

@@ -25,6 +25,7 @@ from delpezzo import (
     root_system,
     vectors_of_type,
 )
+from delpezzo.roots import _determinant
 from helpers import (
     DYNKIN_NAMES,
     ROOT_COUNTS,
@@ -157,6 +158,18 @@ def test_cartan_matrix(r):
             if i != j:
                 assert C[i][j] in (0, -1)
     assert exact_determinant([list(row) for row in C]) == 9 - r
+
+
+def test_determinant_matches_cofactor_expansion():
+    # Mostly-zero entries give zero leading minors, so Bareiss swaps rows and
+    # meets columns with no pivot left (determinant 0).
+    assert _determinant([[0, 1], [1, 0]]) == -1
+    assert _determinant([[0, 1, 2], [0, 3, 4], [0, 6, 7]]) == 0
+    rng = random.Random(179)
+    for _ in range(400):
+        size = rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(size)] for _ in range(size)]
+        assert _determinant([row[:] for row in m]) == exact_determinant(m)
 
 
 @pytest.mark.parametrize("r", RANKS)
