@@ -100,7 +100,7 @@ def _handle_orbit(args, lattice):
 
 
 def _handle_weights(args, lattice):
-    if args.adjoint:
+    if args.mode == "adjoint":
         system = adjoint_weight_system(lattice)
         items = [
             {"weight": str(v), "multiplicity": m} for v, m in system.entries
@@ -111,7 +111,7 @@ def _handle_weights(args, lattice):
     if args.fundamental is None:
         raise DomainError("--fundamental is required unless --adjoint is given")
     i = args.fundamental
-    if args.dual:
+    if args.mode == "dual":
         witness = dual_partner(i, lattice)
         item = {
             "index": witness.index,
@@ -128,14 +128,11 @@ def _handle_weights(args, lattice):
         "degree": degree(lift.vector, lattice),
         "central_character": central_character(lift, lattice),
     }
-    if args.minuscule:
+    if args.mode == "minuscule":
         item["minuscule"] = is_minuscule(lift, lattice)
         if item["minuscule"]:
             item["orbit_size"] = _capped_orbit_size(lift.vector, lattice, _orbit_cap())[1]
-        mode = "minuscule"
-    else:
-        mode = "lift"
-    return {"fundamental": i, "mode": mode}, {}, [item], {}
+    return {"fundamental": i, "mode": args.mode}, {}, [item], {}
 
 
 def _handle_degenerate(args, lattice):
@@ -227,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("weights", _handle_weights, help="fundamental weight reports")
     p.add_argument("--fundamental", type=int, help="fundamental index 1..r")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--minuscule", action="store_true")
-    mode.add_argument("--dual", action="store_true")
-    mode.add_argument("--adjoint", action="store_true")
+    for name in ("minuscule", "dual", "adjoint"):
+        mode.add_argument(f"--{name}", action="store_const", const=name, dest="mode")
+    p.set_defaults(mode="lift")
 
     p = cmd(
         "degenerate", _handle_degenerate, help="orbit decomposition for an RDP configuration"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -61,14 +61,19 @@ MIN_RANK = 3
 MAX_RANK = 8
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class LatticeVector:
     """Integer vector a*h + sum_i c_i*e_i.
 
     Ordering is lexicographic on (a, c_1, ..., c_r), which is the
     deterministic order used by every enumeration in the package.
+
+    The slots are declared here, so the frozen __setattr__ and __delattr__
+    that dataclass generates refuse every name on this very class; pickle
+    and copy would go through them, so __setstate__ uses the slots' setters.
     """
 
+    __slots__ = ("coeff_h", "coeff_e")
     coeff_h: int
     coeff_e: tuple[int, ...]
 
@@ -112,20 +117,12 @@ class LatticeVector:
     def __str__(self) -> str:
         return format_vector(self)
 
+    def __getstate__(self):
+        return self.coeff_h, self.coeff_e
 
-# slots=True rebuilds the class, and the frozen __setattr__ and __delattr__
-# that dataclasses generated still name the old one in super(), so a name
-# that is not a field raised TypeError; these raise for every name.
-def _refuse_set(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_del(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-LatticeVector.__setattr__ = _refuse_set
-LatticeVector.__delattr__ = _refuse_del
+    def __setstate__(self, state):
+        _set_h(self, state[0])
+        _set_e(self, state[1])
 
 
 _set_h = LatticeVector.coeff_h.__set__

@@ -28,9 +28,11 @@ from delpezzo import (
     basis_e,
     basis_h,
     enumerate_roots,
+    evaluate,
     expand_in_simple,
     inner,
     lines,
+    positive_roots,
     restrict_to_coroots,
     root_from_six,
     zero_vector,
@@ -549,6 +551,13 @@ def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):
                         best = image
         frontier = nxt
     return best
+
+
+def simple_killed_roots(period, lattice: MarkedLattice) -> list[LatticeVector]:
+    """The simple roots of the root system a period kills, sorted: the killed
+    positive roots that are not the sum of two other killed positive roots."""
+    killed = {a.vector for a in positive_roots(lattice) if evaluate(period, a.vector).is_zero()}
+    return sorted(killed - {a + b for a, b in combinations(killed, 2)})
 
 
 def bfs_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[SubOrbit]:

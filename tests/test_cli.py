@@ -11,7 +11,7 @@ from delpezzo import (
     format_vector,
     make_marked_lattice,
 )
-from delpezzo.cli import run
+from delpezzo.cli import build_parser, run
 
 from helpers import LINE_COUNTS, ROOT_COUNTS
 
@@ -197,7 +197,16 @@ def test_weights_adjoint(capsys, schema):
 def test_weights_argument_errors(capsys):
     assert run(["weights", "--r", "6"]) == 2
     assert run(["weights", "--r", "6", "--fundamental", "9"]) == 2
-    capsys.readouterr()
+    assert run(["weights", "--r", "6", "--fundamental", "1", "--dual", "--adjoint"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["minuscule", "dual", "adjoint", "lift"])
+def test_weights_flags_store_one_mode(mode):
+    argv = ["weights", "--r", "6", "--fundamental", "1"]
+    args = build_parser().parse_args(argv + ([] if mode == "lift" else [f"--{mode}"]))
+    assert args.mode == mode
+    assert not {"minuscule", "dual", "adjoint"} & set(vars(args))
 
 
 def test_degenerate(capsys, schema):

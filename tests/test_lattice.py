@@ -174,6 +174,35 @@ def test_vectors_are_slotted_and_copy_and_pickle_whole():
         assert v.coeffs() == copies[0].coeffs()
 
 
+# LatticeVector(-2, (5, 0, -1)) pickled at protocols 0-5 by commit 1b2e984,
+# when LatticeVector was a slots=True dataclass whose state was the list
+# [coeff_h, coeff_e]; the class now keeps the pair as a tuple.
+OLD_PICKLES = [
+    b"ccopy_reg\n_reconstructor\np0\n(cdelpezzo.lattice\nLatticeVector\np1\nc__builtin__\n"
+    b"object\np2\nNtp3\nRp4\n(lp5\nI-2\na(I5\nI0\nI-1\ntp6\nab.",
+    b"ccopy_reg\n_reconstructor\nq\x00(cdelpezzo.lattice\nLatticeVector\nq\x01c__builtin__\n"
+    b"object\nq\x02Ntq\x03Rq\x04]q\x05(J\xfe\xff\xff\xff(K\x05K\x00J\xff\xff\xff\xfftq\x06eb.",
+    b"\x80\x02cdelpezzo.lattice\nLatticeVector\nq\x00)\x81q\x01]q\x02(J\xfe\xff\xff\xff"
+    b"K\x05K\x00J\xff\xff\xff\xff\x87q\x03eb.",
+    b"\x80\x03cdelpezzo.lattice\nLatticeVector\nq\x00)\x81q\x01]q\x02(J\xfe\xff\xff\xff"
+    b"K\x05K\x00J\xff\xff\xff\xff\x87q\x03eb.",
+    b"\x80\x04\x95>\x00\x00\x00\x00\x00\x00\x00\x8c\x10delpezzo.lattice\x94\x8c\rLatticeVector"
+    b"\x94\x93\x94)\x81\x94]\x94(J\xfe\xff\xff\xffK\x05K\x00J\xff\xff\xff\xff\x87\x94eb.",
+    b"\x80\x05\x95>\x00\x00\x00\x00\x00\x00\x00\x8c\x10delpezzo.lattice\x94\x8c\rLatticeVector"
+    b"\x94\x93\x94)\x81\x94]\x94(J\xfe\xff\xff\xffK\x05K\x00J\xff\xff\xff\xff\x87\x94eb.",
+]
+
+
+def test_pickles_of_the_slots_true_class_still_load():
+    v = LatticeVector(-2, (5, 0, -1))
+    for protocol, data in enumerate(OLD_PICKLES):
+        assert protocol < 2 or data[:2] == bytes((0x80, protocol))
+        w = pickle.loads(data)
+        assert type(w) is LatticeVector
+        assert w == v and hash(w) == hash(v) and w.coeffs() == (-2, 5, 0, -1)
+        assert type(w.coeff_e) is tuple and not hasattr(w, "__dict__")
+
+
 def test_scalar_product_needs_an_int():
     M = make_marked_lattice(6)
     with pytest.raises(TypeError):
