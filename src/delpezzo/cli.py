@@ -22,14 +22,19 @@ from typing import Sequence
 from . import __version__
 from .degeneration import make_configuration, orbit_decomposition
 from .errors import DomainError, OrbitCapError
-from .geometry import _check_adjunction, coplanar_triples, disjoint_line_sets, double_sixes
+from .geometry import (
+    _check_adjunction,
+    _line_table,
+    coplanar_triples,
+    disjoint_line_sets,
+    double_sixes,
+)
 from .lattice import (
     _symbols,
     _texts_of_type,
     degree,
     make_marked_lattice,
     parse_vector,
-    vectors_of_type,
 )
 from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
 from .roots import enumerate_roots, positive_roots
@@ -139,8 +144,7 @@ def _handle_degenerate(args, lattice):
     curve_texts = args.curves.split(",")
     curves = [parse_vector(t, lattice.r) for t in curve_texts]
     config = make_configuration(curves, lattice)
-    weight_set = vectors_of_type(lattice, -1, 1)
-    parts = orbit_decomposition(config, weight_set, lattice)
+    parts = orbit_decomposition(config, _line_table(lattice.r)[0], lattice)
     items = [
         {
             "representative": str(p.representative),

@@ -60,7 +60,7 @@ class SubOrbit:
 
 
 class _Multiples(dict):
-    """m -> m * g for one coefficient tuple g = self[1], each made on first use."""
+    """m -> m * g for one int tuple g = self[1], each made on first use."""
 
     def __missing__(self, m: int) -> tuple[int, ...]:
         self[m] = mg = tuple(m * c for c in self[1])
@@ -77,28 +77,36 @@ def orbit_decomposition(
     Orbits are listed by lexicographically least representative; a size-2
     orbit whose members differ by a configuration curve is labelled
     "extension pair" (the two classes that collide in the degeneration).
-    Each orbit is a breadth-first closure (lattice.closure) on coefficient
-    tuples (a, c_1, ..., c_r); weights must have rank r, else DomainError.
-    The image of x in a curve g is x + m g, m = <x, g> = sum(map(mul, x, d))
-    for g's dual row d, and is made only when m != 0.  Members given in
+    Weights must have rank r, else DomainError.  Reflecting x in curve c_j
+    adds m_j c_j to x and m_j G_j to its pairings m, for m_j = <x, c_j> and
+    G_j row j of the curves' Gram matrix.  So the orbit of x is {x + s} for
+    shifts s that depend on m alone: the memo `shapes` lists them, sorted
+    (so x + s is too), once per m, by a breadth-first closure
+    (lattice.closure) on tuples (m, s) from (m, 0).  Members given in
     `weights` come back as passed; only those the closure adds are wrapped.
     """
     gens = [_coeffs(c.vector, lattice) for c in config.curves]
-    rows = [(_Multiples({1: g}), _dual_row(g)) for g in gens]
+    duals = [_dual_row(g) for g in gens]
+    steps = [_Multiples({1: (*(sum(map(mul, d, g)) for d in duals), *g)}) for g in gens]
     gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
 
     def images(x: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(map(add, x, mg[m])) for mg, d in rows if (m := sum(map(mul, x, d)))]
+        return [tuple(map(add, x, step[p])) for step, p in zip(steps, x) if p]
 
     given = {_coeffs(w, lattice): w for w in weights}
+    k, zero = len(gens), (0,) * (lattice.r + 1)
+    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for v in given:
         if v not in seen:
-            orb = closure(v, images)
-            seen |= orb
-            orbits.append(sorted(orb))
-    given.update((t, _vector(t)) for t in seen.difference(given))
+            m = tuple(sum(map(mul, v, d)) for d in duals)
+            if (shape := shapes.get(m)) is None:
+                shape = shapes[m] = sorted(x[k:] for x in closure(m + zero, images))
+            orbits.append(orb := [tuple(map(add, v, s)) for s in shape])
+            seen.update(orb)
+    if len(seen) > len(given):
+        given.update((t, _vector(t)) for t in seen.difference(given))
     parts = []
     for orb in sorted(orbits):  # disjoint orbits: ordered by least member
         if len(orb) == 1:

@@ -228,22 +228,22 @@ def double_sixes(
     for rho in positive_roots(lattice):
         d = _dual_row(rho.vector.coeffs())
         pairing = [sum(map(mul, d, t)) for t in ts]
-        plus = [v for v, x in zip(vecs, pairing) if x == 1]
-        minus = [v for v, x in zip(vecs, pairing) if x == -1]
+        plus = [i for i, x in enumerate(pairing) if x == 1]
+        minus = [i for i, x in enumerate(pairing) if x == -1]
         if len(plus) != 6 or len(minus) != 6:
             raise InternalError(f"root {rho.vector} splits the lines {len(plus)}/{len(minus)}")
-        _check_double_six(plus, minus)
-        pairs.append(sorted((plus, minus)))
+        _check_double_six([ts[i] for i in plus], [ts[j] for j in minus])
+        pairs.append(sorted(([vecs[i] for i in plus], [vecs[j] for j in minus])))
     return [(frozenset(first), frozenset(second)) for first, second in sorted(pairs)]
 
 
-def _check_double_six(first: list[LatticeVector], second: list[LatticeVector]) -> None:
-    partners = {}
-    for a in first:
-        disjoint = [b for b in second if inner(a, b) == 0]
-        meets = [b for b in second if inner(a, b) == 1]
-        if len(disjoint) != 1 or len(meets) != 5:
+def _check_double_six(first: list[tuple[int, ...]], second: list[tuple[int, ...]]) -> None:
+    """Each line of `first` meets five of `second` once, and misses a distinct sixth."""
+    partners = set()
+    for d in map(_dual_row, first):
+        meets = [sum(map(mul, d, b)) for b in second]
+        if meets.count(0) != 1 or meets.count(1) != 5:
             raise InternalError("six pair does not interleave as a double six")
-        partners[a] = disjoint[0]
-    if len(set(partners.values())) != 6:
+        partners.add(meets.index(0))
+    if len(partners) != 6:
         raise InternalError("double six partner matching is not a bijection")

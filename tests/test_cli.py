@@ -235,6 +235,25 @@ def test_degenerate_rejects_bad_curves(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--r", "6", "--weight", "-e1"],
+        ["degenerate", "--r", "6", "--curves", "-e1+e2"],
+    ],
+    ids=" ".join,
+)
+def test_vectors_starting_with_minus_need_the_equals_form(capsys, argv):
+    # argparse reads a separate "-e1" as an option, so only "--weight=-e1" works
+    flag, value = argv[-2:]
+    assert run([*argv[:-2], f"{flag}={value}"]) == 0
+    assert capsys.readouterr().out
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: expected one argument" in out.err
+
+
 def test_period(capsys, schema):
     report = run_json(
         capsys,

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from delpezzo import (
     orbit_decomposition,
     positive_roots,
 )
+from delpezzo import degeneration
 from helpers import (
     bfs_orbit_decomposition,
     inner_incident_lines,
@@ -262,3 +264,128 @@ def test_decomposition_rejects_inexact_or_misranked_weights():
         cfg = make_configuration(curves, M)
         with pytest.raises(DomainError):
             orbit_decomposition(cfg, [M.e(1), LatticeVector(1, (0,) * 5)], M)
+
+
+def _span_coefficients(diff, curves):
+    """Integers x with sum x_i c_i == diff, or None: the Gram system
+    G x = (<diff, c_i>) solved by Fraction elimination, then checked."""
+    k = len(curves)
+    rows = [
+        [Fraction(inner(a, b)) for b in curves] + [Fraction(inner(diff, a))] for a in curves
+    ]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if rows[i][col])  # G is nondegenerate
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for i in range(k):
+            if i != col and rows[i][col]:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    x = [rows[i][k] / rows[i][i] for i in range(k)]
+    if any(c.denominator != 1 for c in x):
+        return None
+    total = diff - diff  # the zero vector of diff's rank
+    for c, v in zip(x, curves):
+        total = total + int(c) * v
+    return x if total == diff else None
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_members_differ_from_the_representative_by_curve_combinations(r):
+    M = make_marked_lattice(r)
+    rng = random.Random(2400 + r)
+    pools = [_line_vectors(M), [c.vector for c in conics(M)]]
+    for _ in range(6):
+        nodes = rng.sample(range(r), rng.randint(1, min(r, 5)))
+        cfg = _moved_configuration(M, nodes, random_word(rng, r))
+        curves = [c.vector for c in cfg.curves]
+        pool = rng.choice(pools)
+        for p in orbit_decomposition(cfg, rng.sample(pool, len(pool) // 3), M):
+            for v in p.members:
+                assert _span_coefficients(v - p.representative, curves) is not None
+    # the check itself rejects a class outside the span
+    curves = [M.e(1) - M.e(2), M.e(2) - M.e(3)]
+    assert _span_coefficients(M.e(1) - M.e(3), curves) == [1, 1]
+    assert _span_coefficients(M.e(1) - M.e(4), curves) is None
+    assert _span_coefficients(M.e(1) + M.e(2), curves) is None
+
+
+def _pairings(v, curves):
+    return tuple(inner(v, c) for c in curves)
+
+
+def test_same_pairings_off_the_span_give_distinct_orbits_of_one_shape():
+    M = make_marked_lattice(6)
+    cfg = make_configuration([M.e(1) - M.e(2), M.e(2) - M.e(3)], M)
+    curves = [c.vector for c in cfg.curves]
+    u = M.h - M.e(4) - M.e(5) - M.e(6)  # orthogonal to both curves
+    assert _pairings(u, curves) == (0, 0)
+    x, y = M.e(1), M.e(1) + u
+    assert _pairings(x, curves) == _pairings(y, curves)
+    parts = orbit_decomposition(cfg, [x, y], M)
+    assert len(parts) == 2
+    a = next(p for p in parts if x in p.members)
+    b = next(p for p in parts if y in p.members)
+    assert set(a.members) == {M.e(1), M.e(2), M.e(3)}
+    assert b.members == tuple(v + u for v in a.members)
+    assert not set(a.members) & set(b.members)
+
+
+@pytest.mark.parametrize("r", [6, 8])
+def test_classes_with_equal_pairings_share_their_orbit_shape(r):
+    M = make_marked_lattice(r)
+    rng = random.Random(2500 + r)
+    weights = [c.vector for c in conics(M)]
+    for _ in range(4):
+        nodes = rng.sample(range(r), rng.randint(2, 4))
+        cfg = _moved_configuration(M, nodes, random_word(rng, r))
+        curves = [c.vector for c in cfg.curves]
+        orbit_of = {
+            v: p for p in orbit_decomposition(cfg, weights, M) for v in p.members
+        }
+        shapes = {}
+        for v in weights:
+            shape = frozenset(w - v for w in orbit_of[v].members)
+            assert shapes.setdefault(_pairings(v, curves), shape) == shape
+
+
+def test_duplicate_weights():
+    M = make_marked_lattice(7)
+    cfg = make_configuration([M.e(1) - M.e(2), M.e(2) - M.e(3)], M)
+    vecs = _line_vectors(M)
+    copies = [LatticeVector(v.coeff_h, v.coeff_e) for v in vecs]
+    weights = vecs + copies[::-1] + vecs[:5]
+    got = orbit_decomposition(cfg, weights, M)
+    want = orbit_decomposition(cfg, vecs, M)
+    assert [(p.members, p.label) for p in got] == [(p.members, p.label) for p in want]
+    assert sum(p.size for p in got) == len(vecs)
+    for p in got:
+        for v in p.members:
+            assert any(v is w for w in weights)
+
+
+def test_one_closure_per_distinct_start_pairing_tuple(monkeypatch):
+    M = make_marked_lattice(8)
+    cfg = make_configuration(
+        [M.e(1) - M.e(2), M.e(3) - M.e(4), M.e(5) - M.e(6), M.e(7) - M.e(8)], M
+    )
+    assert str(cfg.dynkin) == "A1+A1+A1+A1"
+    weights = [c.vector for c in conics(M)]
+    calls = []
+    real = degeneration.closure
+
+    def counting(start, images, *args):
+        calls.append(start)
+        return real(start, images, *args)
+
+    monkeypatch.setattr(degeneration, "closure", counting)
+    parts = orbit_decomposition(cfg, weights, M)
+    # the pairing tuples of the classes that start an orbit, in input order
+    orbit_of = {v: p for p in parts for v in p.members}
+    covered, starts = set(), set()
+    for v in weights:
+        if v not in covered:
+            covered.update(orbit_of[v].members)
+            starts.add(_pairings(v, [c.vector for c in cfg.curves]))
+    assert len(calls) == len(starts)
+    assert len(calls) < len(parts)
+    assert len(covered) == sum(p.size for p in parts) == len(weights)

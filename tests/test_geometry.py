@@ -7,6 +7,7 @@ import pytest
 from delpezzo import (
     CurveClass,
     DomainError,
+    InternalError,
     LatticeVector,
     apply_word,
     basis_e,
@@ -30,7 +31,7 @@ from delpezzo import (
     root_from_six,
     vectors_of_type,
 )
-from delpezzo.geometry import _line_table, _triples_summing_to
+from delpezzo.geometry import _check_double_six, _line_table, _triples_summing_to
 from helpers import (
     LINE_COUNTS,
     backtrack_disjoint_line_sets,
@@ -293,6 +294,23 @@ def test_double_sixes():
             assert sum(1 for b in second if inner(a, b) == 1) == 5
     assert len(seen) == 72
     assert seen == set(disjoint_line_sets(M, 6))
+
+
+def test_double_six_check_rejects_what_does_not_interleave():
+    M = make_marked_lattice(6)
+    first, second = ([v.coeffs() for v in sorted(six)] for six in double_sixes(M)[0])
+    _check_double_six(first, second)
+    _check_double_six(second, first)
+    # a six against itself: each line meets itself -1 times and misses five
+    with pytest.raises(InternalError, match="interleave"):
+        _check_double_six(first, first)
+    # one line swapped for a line outside the pair: the counts break
+    other = next(t for t in _line_table(6)[1] if t not in first + second)
+    with pytest.raises(InternalError, match="interleave"):
+        _check_double_six(first, second[:5] + [other])
+    # a repeated line keeps every count but gives only five partners
+    with pytest.raises(InternalError, match="bijection"):
+        _check_double_six(first[:5] + first[:1], second)
 
 
 def test_standard_double_six_is_listed():
