@@ -9,6 +9,7 @@ into the pieces that collide in the degeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, mul
 from typing import Iterable
 
@@ -59,14 +60,6 @@ class SubOrbit:
         return len(self.members)
 
 
-class _Multiples(dict):
-    """m -> m * g for one int tuple g = self[1], each made on first use."""
-
-    def __missing__(self, m: int) -> tuple[int, ...]:
-        self[m] = mg = tuple(m * c for c in self[1])
-        return mg
-
-
 def orbit_decomposition(
     config: RdpConfiguration,
     weights: Iterable[LatticeVector],
@@ -84,14 +77,15 @@ def orbit_decomposition(
     (so x + s is too), once per m, by a breadth-first closure
     (lattice.closure) on tuples (m, s) from (m, 0).  Members given in
     `weights` come back as passed; only those the closure adds are wrapped.
+    A class pairing non-zero with two independent curves has three or more
+    images, so a size-2 orbit is {x, x + m_j c_j}: a pair iff max |m| = 1.
     """
     gens = [_coeffs(c.vector, lattice) for c in config.curves]
     duals = [_dual_row(g) for g in gens]
-    steps = [_Multiples({1: (*(sum(map(mul, d, g)) for d in duals), *g)}) for g in gens]
-    gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
+    steps = [(*(sum(map(mul, d, g)) for d in duals), *g) for g in gens]
 
     def images(x: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(map(add, x, step[p])) for step, p in zip(steps, x) if p]
+        return [tuple(map(add, x, map(mul, repeat(p), step))) for step, p in zip(steps, x) if p]
 
     given = {_coeffs(w, lattice): w for w in weights}
     k, zero = len(gens), (0,) * (lattice.r + 1)
@@ -103,15 +97,15 @@ def orbit_decomposition(
             m = tuple(sum(map(mul, v, d)) for d in duals)
             if (shape := shapes.get(m)) is None:
                 shape = shapes[m] = sorted(x[k:] for x in closure(m + zero, images))
-            orbits.append(orb := [tuple(map(add, v, s)) for s in shape])
+            orbits.append((orb := [tuple(map(add, v, s)) for s in shape], m))
             seen.update(orb)
     if len(seen) > len(given):
         given.update((t, _vector(t)) for t in seen.difference(given))
     parts = []
-    for orb in sorted(orbits):  # disjoint orbits: ordered by least member
+    for orb, m in sorted(orbits):  # disjoint orbits: ordered by least member
         if len(orb) == 1:
             label = "singleton"
-        elif len(orb) == 2 and tuple(y - x for x, y in zip(*orb)) in gen_set:
+        elif len(orb) == 2 and max(map(abs, m)) == 1:
             label = "extension pair"
         else:
             label = "orbit"

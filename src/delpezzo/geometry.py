@@ -5,7 +5,7 @@ degree) data; the r = 6 lattice additionally carries the classical
 incidence structures: 45 coplanar triples, 72 sixes, 36 double sixes.
 Each double six is read straight off one positive root rho: its two sixes
 are the lines L with <L, rho> = +1 and those with <L, rho> = -1.
-The searches on lines read them from one lazy table per rank, _line_table.
+lines() and the line searches read one lazy table per rank, _line_table.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _check_adjunction(self_int: int, deg: int) -> None:
 
 
 def lines(lattice: MarkedLattice) -> list[CurveClass]:
-    """Classes of lines: self-intersection -1, degree 1."""
-    return enumerate_classes(lattice, -1, 1)
+    """Classes of lines: self-intersection -1, degree 1, read from _line_table."""
+    return [CurveClass(v, -1, 1) for v in _line_table(lattice.r)[0]]
 
 
 def conics(lattice: MarkedLattice) -> list[CurveClass]:

@@ -28,13 +28,13 @@ from .lattice import (
     LatticeVector,
     MarkedLattice,
     _cap_limit,
-    _check_same_rank,
     _coeffs,
     _form,
     _vector,
     _vectors,
     closure,
     dual_basis_lifts,
+    inner,
     make_marked_lattice,
 )
 from .roots import Root, as_root_vector, dynkin_type
@@ -83,8 +83,8 @@ def reflect(alpha: Root | LatticeVector, v: LatticeVector) -> LatticeVector:
     preserves the form and fixes kappa.
     """
     a = as_root_vector(alpha)
-    _check_same_rank(v, a)
-    return _vector(_reflect_in(v.coeffs(), a.coeffs()))
+    m = inner(v, a)
+    return _vector(tuple(x + m * y for x, y in zip(v.coeffs(), a.coeffs())))
 
 
 # --- the coefficient-tuple kernel ---------------------------------------------
@@ -103,12 +103,6 @@ def _reflect(t: Coeffs, i: int) -> Coeffs:
         return t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
     m = t[0] + t[1] + t[2] + t[3]
     return (t[0] + m, t[1] - m, t[2] - m, t[3] - m) + t[4:]
-
-
-def _reflect_in(t: Coeffs, g: Coeffs) -> Coeffs:
-    """Reflection t + <t, g> g in a root g."""
-    m = _form(t, g)
-    return tuple(x + m * y for x, y in zip(t, g)) if m else t
 
 
 def _descend(t: Coeffs) -> tuple[Coeffs, list[int]]:

@@ -39,7 +39,7 @@ from delpezzo import (
 )
 from delpezzo.lattice import _coeffs, _symbols, _term, _vector, closure
 from delpezzo.roots import as_root_vector
-from delpezzo.weyl import _labels, _reflect_in, dominant_representative
+from delpezzo.weyl import _labels, dominant_representative
 
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -596,17 +596,23 @@ def bfs_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[Sub
 
 
 def reflect_orbit_decomposition(config, weights, lattice: MarkedLattice) -> list[SubOrbit]:
-    """Sub-Weyl orbits by lattice.closure over weyl._reflect_in on coefficient
-    tuples, every member wrapped anew: the path degeneration.orbit_decomposition
-    took before it reflected through dual rows and kept the given vectors.
-    Oracle for degeneration.orbit_decomposition."""
+    """Sub-Weyl orbits by lattice.closure over the reflections t + <t, g> g on
+    coefficient tuples, with the form written out as 2 t_0 g_0 - sum t_i g_i,
+    every member wrapped anew and a two-member orbit labelled by whether its
+    members differ by a curve up to sign.  Shares no kernel with
+    degeneration.orbit_decomposition, for which it is the oracle."""
+
+    def reflect(t, g):
+        m = 2 * t[0] * g[0] - sum(x * y for x, y in zip(t, g))
+        return tuple(x + m * y for x, y in zip(t, g))
+
     gens = [_coeffs(c.vector, lattice) for c in config.curves]
     gen_set = {g for v in gens for g in (v, tuple(-x for x in v))}
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for v in {_coeffs(w, lattice) for w in weights}:
         if v not in seen:
-            orb = closure(v, lambda u: (_reflect_in(u, g) for g in gens))
+            orb = closure(v, lambda u: (reflect(u, g) for g in gens))
             seen |= orb
             orbits.append(sorted(orb))
     parts = []

@@ -168,6 +168,21 @@ def test_degeneration_closure_can_add_classes():
     assert parts[0].label == "extension pair"
 
 
+def test_two_member_orbits_are_labelled_by_their_step():
+    # a two-member orbit is an extension pair only when its members differ
+    # by the curve itself, not by twice it
+    M = make_marked_lattice(6)
+    e1, e2, e3 = M.e(1), M.e(2), M.e(3)
+    cfg = make_configuration([e1 - e2], M)
+    parts = orbit_decomposition(cfg, [e1 - e2, e1, e3, 2 * e1], M)
+    assert [(p.members, p.label) for p in parts] == [
+        ((e2 - e1, e1 - e2), "orbit"),
+        ((e3,), "singleton"),
+        ((e2, e1), "extension pair"),
+        ((2 * e2, 2 * e1), "orbit"),
+    ]
+
+
 def _assert_matches_oracle(cfg, weights, M):
     got = orbit_decomposition(cfg, weights, M)
     want = bfs_orbit_decomposition(cfg, weights, M)

@@ -166,7 +166,7 @@ def test_disjoint_line_set_members_match_constructed_ones():
 @pytest.mark.parametrize("r", RANKS)
 def test_line_table_matches_inner(r):
     vecs, ts, later = _line_table(r)
-    assert list(vecs) == [c.vector for c in lines(make_marked_lattice(r))]
+    assert list(vecs) == vectors_of_type(make_marked_lattice(r), -1, 1)
     assert ts == tuple(v.coeffs() for v in vecs)
     assert wrap_mismatches(vecs) == []
     for i, a in enumerate(vecs):
@@ -188,6 +188,10 @@ def test_line_table_holds_only_tuples():
     want = list(moved)
     moved.pop()
     assert incident_lines(cfg, M) == want
+    found = lines(M)
+    want = list(found)
+    found.clear()
+    assert lines(M) == want
     assert _line_table(6) == (vecs, ts, later)
 
 
