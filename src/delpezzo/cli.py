@@ -2,7 +2,10 @@
 
 Every subcommand prints one report (JSON or a plain table) on stdout.
 Identical invocations produce byte-identical output: items are sorted,
-and wall-clock timing only appears when --timing is passed.
+and wall-clock timing only appears when --timing is passed.  A JSON
+report is byte for byte json.dumps(report, indent=2) and a newline.  One
+writer prints both formats as a head, the items, then a tail, and joins
+items that are all str in one call.
 
 Exit codes: 0 success, 2 domain/configuration errors (including vector
 parse errors), 3 resource caps.
@@ -262,23 +265,63 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _render_table(report: dict) -> str:
-    out = []
+def _table_frame(report: dict) -> tuple[str, str]:
+    """The table's head (the query line, the other keys, then counts) and
+    tail; each item gets a line of its own between them."""
     query = report["query"]
-    head = query["command"] + "".join(
-        f" {k}={v}" for k, v in query.items() if k != "command"
-    )
-    out.append(head)
+    out = [query["command"] + "".join(f" {k}={v}" for k, v in query.items() if k != "command")]
     for key, value in report.items():
-        if key in ("tool", "query", "counts", "items"):
-            continue
-        out.append(f"{key}: {_render_value(value)}")
-    out.append(
-        "counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items())
+        if key not in ("tool", "query", "counts", "items"):
+            out.append(f"{key}: {_render_value(value)}")
+    out.append("counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items()))
+    return "\n".join(out) + "\n", "\n" if report["items"] else ""
+
+
+def _json_frame(report: dict) -> tuple[str, str]:
+    """The text of json.dumps(report, indent=2) + "\n" before and after the
+    value of "items": the keys on each side, dumped as a dict of their own,
+    sit at the same indent."""
+    keys = list(report)
+    at = keys.index("items")
+    head = json.dumps({k: report[k] for k in keys[:at]}, indent=2)[:-2] + ',\n  "items": '
+    rest = {k: report[k] for k in keys[at + 1 :]}
+    tail = "," + json.dumps(rest, indent=2)[1:] if rest else "\n}"
+    return head, tail + "\n"
+
+
+def _plain(items: list) -> bool:
+    """Whether items is a non-empty list of str that json copies as it
+    stands: printable ASCII with no '"' and no backslash, the only text
+    ensure_ascii leaves unescaped."""
+    try:
+        text = "".join(items)
+    except TypeError:  # a dict or list item
+        return False
+    return bool(items) and text.isascii() and text.isprintable() and not (
+        '"' in text or "\\" in text
     )
-    for item in report["items"]:
-        out.append(_render_value(item))
-    return "\n".join(out) + "\n"
+
+
+def _write(report: dict, fmt: str) -> None:
+    """Write the report as a head, its items, then a tail.  A table puts
+    one item on each line; a JSON report is byte for byte
+    json.dumps(report, indent=2) + "\n".  Items that are all str are joined
+    in one call; others are rendered one at a time."""
+    items = report["items"]
+    if fmt == "json":
+        head, tail = _json_frame(report)
+        if _plain(items):
+            body = ('[\n    "', '",\n    "'.join(items), '"\n  ]')
+        else:  # one level deeper than alone; a JSON string holds no raw newline
+            body = (json.dumps(items, indent=2).replace("\n", "\n  "),)
+    else:
+        head, tail = _table_frame(report)
+        try:
+            body = ("\n".join(items),)
+        except TypeError:  # a dict or list item
+            body = ("\n".join(map(_render_value, items)),)
+    for text in (head, *body, tail):
+        sys.stdout.write(text)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -306,10 +349,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     report.update(extra)
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_table(report))
+    _write(report, args.format)
     return 0
 
 

@@ -456,6 +456,9 @@ def _texts_of_type(r: int, norm: int, deg: int) -> list[str]:
     joined from per-slot term strings with no vector or tuple built."""
     values = _values(r, norm, deg)
     pieces = [{c: _term(c, sym) for c in values} for sym in _symbols(r)]
+    if norm > 0:  # a = 0 gives norm -sum c_i^2 <= 0, so a text starts with its h term
+        pieces[0] = {c: text.lstrip("+") for c, text in pieces[0].items()}
+        return list(_walk(r, norm, deg, pieces))
     return [text.lstrip("+") or "0" for text in _walk(r, norm, deg, pieces)]
 
 

@@ -335,6 +335,36 @@ def format_tuples(r: int, values, tuples) -> list[str]:
     return ["".join(map(get, table, t)).lstrip("+") or "0" for t in tuples]
 
 
+def _render_value(value) -> str:
+    if isinstance(value, list):
+        return " | ".join(_render_value(v) for v in value)
+    if isinstance(value, dict):
+        return "  ".join(f"{k}={_render_value(v)}" for k, v in value.items())
+    return str(value)
+
+
+def render_table(report: dict) -> str:
+    """The table text of a report, one rendered line at a time: the query
+    line, every key but tool, query, counts and items, the counts, then one
+    line per item.  Oracle for the table half of cli._write."""
+    out = []
+    query = report["query"]
+    head = query["command"] + "".join(
+        f" {k}={v}" for k, v in query.items() if k != "command"
+    )
+    out.append(head)
+    for key, value in report.items():
+        if key in ("tool", "query", "counts", "items"):
+            continue
+        out.append(f"{key}: {_render_value(value)}")
+    out.append(
+        "counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items())
+    )
+    for item in report["items"]:
+        out.append(_render_value(item))
+    return "\n".join(out) + "\n"
+
+
 def scan_parse_vector(text: str, r: int) -> LatticeVector:
     """The `3h-e1-2e8` syntax read by a character scanner; oracle for
     lattice.parse_vector.  It tests digits with str.isdigit but converts

@@ -11,9 +11,9 @@ from delpezzo import (
     format_vector,
     make_marked_lattice,
 )
-from delpezzo.cli import build_parser, run
+from delpezzo.cli import _write, build_parser, run
 
-from helpers import LINE_COUNTS, ROOT_COUNTS
+from helpers import LINE_COUNTS, ROOT_COUNTS, render_table
 
 
 @pytest.fixture(scope="module")
@@ -389,3 +389,49 @@ def test_table_format_degenerate(capsys):
     assert out.splitlines()[0] == "degenerate r=6 curves=e1-e2"
     assert "gauge_type: A1" in out
     assert "label=extension pair" in out
+
+
+def _report(items, **extra):
+    return {
+        "tool": {"name": "delpezzo", "version": __version__},
+        "query": {"command": "classes", "r": 6, "self_int": -1, "degree": 1},
+        "counts": {"items": len(items), "size_2": 1},
+        "items": items,
+        **extra,
+    }
+
+
+WRITER_REPORTS = {
+    "plain": _report(["e1", "h-e1-e2", "2h-e1-e2-e3-e4-e5", ""]),
+    "one item": _report(["-e1+e2"]),
+    "quote": _report(["e1", 'say "e1"']),
+    "backslash": _report(["e1\\e2", "e3"]),
+    "tab": _report(["e1", "e2\te3"]),
+    "newline": _report(["e1\ne2"]),
+    "delete": _report(["e1", "e2\x7f"]),
+    "non-ascii": _report(["e1", "é"]),
+    "empty": _report([]),
+    "empty with keys after": _report([], gauge_type="A1", timing_ms=0.25),
+    "dicts": _report(
+        [{"weight": "e1", "multiplicity": 2}, {"weight": "é", "members": ["a", "b"]}]
+    ),
+    "nested lists": _report([["e1", "e2"], [], ["h-e1-e2"]]),
+    "str then dict": _report(["e1", {"index": 1, "word": "s1 s2"}]),
+    "keys after": _report(
+        ["e1", "e2"],
+        dimension=78,
+        highest="h",
+        coroot_values=["0", "1/2,0"],
+        canonical=[],
+        timing_ms=12.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_REPORTS)
+def test_writer_matches_json_dumps_and_the_per_item_table(name, capsys):
+    report = WRITER_REPORTS[name]
+    _write(report, "json")
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    _write(report, "table")
+    assert capsys.readouterr().out == render_table(report)

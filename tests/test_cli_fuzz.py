@@ -4,11 +4,14 @@ Each argv field is drawn from valid values, and now and then from malformed
 ones: ranks, formats, class types, vectors, curve lists, torsion points,
 weight modes (the conflicting pairs too) and DELPEZZO_ORBIT_CAP values.
 Whatever the argv, `run` returns 0, 2 or 3 and raises nothing, prints to
-stdout only on success, and prints the same bytes when run again.
+stdout only on success, and prints the same bytes when run again.  A JSON
+report is also the stdlib's own text of what it parses to, so `json` checks
+the writer on every such argv.
 `--timing` is left out, as its value changes between runs, and reports are
 kept small: no r = 8 sixes and only class types of a few thousand classes.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -99,6 +102,7 @@ CASES = [(_argv(_rng), _pick(_rng, CAPS, BAD_CAPS)) for _ in range(300)]
 
 def test_fuzzed_argv_exit_cleanly_and_repeat(capsys, monkeypatch):
     codes = {0: 0, 2: 0, 3: 0}
+    json_reports = 0
     for argv, cap in CASES:
         monkeypatch.setenv(ORBIT_CAP_ENV, cap)
         runs = []
@@ -109,6 +113,10 @@ def test_fuzzed_argv_exit_cleanly_and_repeat(capsys, monkeypatch):
         assert code in codes, (argv, cap, code)
         assert (out != "") == (code == 0), (argv, cap, err)
         assert runs[1] == runs[0], (argv, cap)
+        if code == 0 and "json" in argv:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            json_reports += 1
         codes[code] += 1
     assert codes[0] >= 120 and codes[2] >= 60 and codes[3] >= 10, codes
+    assert json_reports >= 45, json_reports
 
