@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -144,8 +145,7 @@ def _handle_weights(args, lattice):
 
 
 def _handle_degenerate(args, lattice):
-    curve_texts = args.curves.split(",")
-    curves = [parse_vector(t, lattice.r) for t in curve_texts]
+    curves = [parse_vector(t, lattice.r) for t in args.curves.split(",")]
     config = make_configuration(curves, lattice)
     parts = orbit_decomposition(config, _line_table(lattice.r)[0], lattice)
     items = [
@@ -157,10 +157,7 @@ def _handle_degenerate(args, lattice):
         }
         for p in parts
     ]
-    counts: dict[str, int] = {"classes": sum(p["size"] for p in items)}
-    for p in items:
-        key = f"size_{p['size']}"
-        counts[key] = counts.get(key, 0) + 1
+    counts = {"classes": sum(p.size for p in parts), **Counter(f"size_{p.size}" for p in parts)}
     # a line is a singleton exactly when it is orthogonal to every curve
     counts["incident_lines"] = counts["classes"] - counts.get("size_1", 0)
     extra = {"gauge_type": str(config.dynkin)}
@@ -173,10 +170,13 @@ def _parse_assignments(args, r) -> list[TorsionPoint]:
         sym, eq, value = raw.partition("=")
         if not eq:
             raise DomainError(f"assignment {raw!r} must look like h=1/3,0")
-        m = re.fullmatch(r"h|e(\d+)", sym)
-        if not m or m[1] and not 1 <= int(m[1]) <= r:
+        try:  # TypeError: not e<digits>; ValueError: more digits than int() reads
+            slot = int(re.fullmatch(r"e(\d+)", sym)[1])
+        except (TypeError, ValueError):
+            slot = 0
+        if not (sym == "h" or 1 <= slot <= r):
             raise DomainError(f"unknown basis symbol {sym!r} for r = {r}")
-        points[int(m[1] or 0)] = TorsionPoint.parse(value)
+        points[slot] = TorsionPoint.parse(value)
     return points
 
 
@@ -265,30 +265,6 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _table_frame(report: dict) -> tuple[str, str]:
-    """The table's head (the query line, the other keys, then counts) and
-    tail; each item gets a line of its own between them."""
-    query = report["query"]
-    out = [query["command"] + "".join(f" {k}={v}" for k, v in query.items() if k != "command")]
-    for key, value in report.items():
-        if key not in ("tool", "query", "counts", "items"):
-            out.append(f"{key}: {_render_value(value)}")
-    out.append("counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items()))
-    return "\n".join(out) + "\n", "\n" if report["items"] else ""
-
-
-def _json_frame(report: dict) -> tuple[str, str]:
-    """The text of json.dumps(report, indent=2) + "\n" before and after the
-    value of "items": the keys on each side, dumped as a dict of their own,
-    sit at the same indent."""
-    keys = list(report)
-    at = keys.index("items")
-    head = json.dumps({k: report[k] for k in keys[:at]}, indent=2)[:-2] + ',\n  "items": '
-    rest = {k: report[k] for k in keys[at + 1 :]}
-    tail = "," + json.dumps(rest, indent=2)[1:] if rest else "\n}"
-    return head, tail + "\n"
-
-
 def _plain(items: list) -> bool:
     """Whether items is a non-empty list of str that json copies as it
     stands: printable ASCII with no '"' and no backslash, the only text
@@ -303,24 +279,33 @@ def _plain(items: list) -> bool:
 
 
 def _write(report: dict, fmt: str) -> None:
-    """Write the report as a head, its items, then a tail.  A table puts
-    one item on each line; a JSON report is byte for byte
-    json.dumps(report, indent=2) + "\n".  Items that are all str are joined
-    in one call; others are rendered one at a time."""
-    items = report["items"]
+    """Write a report in the one shape run builds: tool, query and counts,
+    then items, then the keys after them (rest).  A table puts one item on
+    each line; a JSON report is byte for byte json.dumps(report, indent=2)
+    + "\n".  Items that are all str are joined in one call; others are
+    rendered one at a time."""
+    pairs = list(report.items())
+    items, rest = report["items"], dict(pairs[4:])
     if fmt == "json":
-        head, tail = _json_frame(report)
+        parts = [json.dumps(dict(pairs[:3]), indent=2)[:-2] + ',\n  "items": ']
         if _plain(items):
-            body = ('[\n    "', '",\n    "'.join(items), '"\n  ]')
+            parts += ('[\n    "', '",\n    "'.join(items), '"\n  ]')
         else:  # one level deeper than alone; a JSON string holds no raw newline
-            body = (json.dumps(items, indent=2).replace("\n", "\n  "),)
+            parts.append(json.dumps(items, indent=2).replace("\n", "\n  "))
+        parts.append("," + json.dumps(rest, indent=2)[1:] + "\n" if rest else "\n}\n")
     else:
-        head, tail = _table_frame(report)
+        query = report["query"]
+        head = [query["command"] + "".join(
+            f" {k}={v}" for k, v in query.items() if k != "command"
+        )]
+        head += (f"{k}: {_render_value(v)}" for k, v in rest.items())
+        head.append("counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items()))
         try:
-            body = ("\n".join(items),)
+            body = "\n".join(items)
         except TypeError:  # a dict or list item
-            body = ("\n".join(map(_render_value, items)),)
-    for text in (head, *body, tail):
+            body = "\n".join(map(_render_value, items))
+        parts = ["\n".join(head) + "\n", body, "\n" if items else ""]
+    for text in parts:
         sys.stdout.write(text)
 
 

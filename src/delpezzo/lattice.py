@@ -288,11 +288,17 @@ def parse_vector(text: str, r: int) -> LatticeVector:
             raise VectorParseError(text, i, "expected '+' or '-' between terms")
         if not h and idx is None:
             raise VectorParseError(text, m.end(), "expected basis symbol 'h' or 'e<i>'")
-        slot = 0 if h else int(idx or 0)
+        try:  # int() refuses a digit run longer than sys.get_int_max_str_digits()
+            slot = 0 if h else int(idx or 0)
+        except ValueError:
+            raise VectorParseError(text, m.start(4), "too many index digits") from None
         if not h and not 1 <= slot <= r:
             reason = f"index e{slot} outside 1..{r}" if idx else "expected index digits after 'e'"
             raise VectorParseError(text, m.start(4), reason)
-        coeffs[slot] += int(sign + (mag or "1"))
+        try:
+            coeffs[slot] += int(sign + (mag or "1"))
+        except ValueError:
+            raise VectorParseError(text, m.start(2), "too many coefficient digits") from None
         i = m.end()
     return _vector(tuple(coeffs))
 

@@ -70,9 +70,12 @@ def parse_word(text: str) -> Word:
         return ()
     out = []
     for token in text.split(","):
-        if len(token) < 2 or token[0] != "s" or not token[1:].isdecimal():
-            raise DomainError(f"bad word token {token!r}; expected like 's1'")
-        out.append(int(token[1:]))
+        try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+            if token[:1] != "s" or not token[1:].isdecimal():
+                raise ValueError
+            out.append(int(token[1:]))
+        except ValueError:
+            raise DomainError(f"bad word token {token!r}; expected like 's1'") from None
     return tuple(out)
 
 

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, isqrt
+
+import pytest
 
 from delpezzo import (
     ConfigurationError,
@@ -341,6 +344,16 @@ def _render_value(value) -> str:
     if isinstance(value, dict):
         return "  ".join(f"{k}={_render_value(v)}" for k, v in value.items())
     return str(value)
+
+
+# int() refuses a digit run longer than sys.get_int_max_str_digits(); a
+# Python without that function, or with the limit set to 0, reads any
+# length, and there the tests of the refusal are skipped.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERLONG = "9" * (INT_DIGIT_LIMIT + 1)
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="int() reads digit runs of any length"
+)
 
 
 def render_table(report: dict) -> str:

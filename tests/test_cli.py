@@ -13,7 +13,7 @@ from delpezzo import (
 )
 from delpezzo.cli import _write, build_parser, run
 
-from helpers import LINE_COUNTS, ROOT_COUNTS, render_table
+from helpers import LINE_COUNTS, OVERLONG, ROOT_COUNTS, needs_int_digit_limit, render_table
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +325,18 @@ def test_version(capsys):
         ["orbit", "--r", "6", "--weight", "²h"],
         ["degenerate", "--r", "6", "--curves", "e1-e²"],
         ["period", "--r", "6", "--assign", "e²=1/2,0"],
+        # a digit run longer than int() reads
+        *(
+            pytest.param(
+                argv, id=" ".join(argv).replace(OVERLONG, "<overlong>"), marks=needs_int_digit_limit
+            )
+            for argv in (
+                ["orbit", "--r", "6", "--weight", OVERLONG + "h"],
+                ["orbit", "--r", "6", "--weight", "e" + OVERLONG],
+                ["degenerate", "--r", "6", "--curves", f"e1-{OVERLONG}e2"],
+                ["period", "--r", "6", "--assign", f"e{OVERLONG}=1/2,0"],
+            )
+        ),
     ],
     ids=" ".join,
 )
@@ -417,6 +429,11 @@ WRITER_REPORTS = {
     ),
     "nested lists": _report([["e1", "e2"], [], ["h-e1-e2"]]),
     "str then dict": _report(["e1", {"index": 1, "word": "s1 s2"}]),
+    "dicts then keys": _report(
+        [{"representative": "e1-e2", "size": 2, "members": ["e1", "e2"]}, {"label": "é"}],
+        gauge_type="A1",
+        timing_ms=0.5,
+    ),
     "keys after": _report(
         ["e1", "e2"],
         dimension=78,

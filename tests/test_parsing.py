@@ -13,7 +13,7 @@ from delpezzo import (
     parse_vector,
     zero_vector,
 )
-from helpers import format_tuples, two_pass_format_vector
+from helpers import OVERLONG, format_tuples, needs_int_digit_limit, two_pass_format_vector
 
 
 def test_round_trip_basis():
@@ -99,6 +99,16 @@ def test_parse_repeated_terms_accumulate():
         ("e9", 1),
         ("h e1", 1),
         ("+-h", 1),
+        # a digit run longer than int() reads fails at its start
+        *(
+            pytest.param(text, position, id=name, marks=needs_int_digit_limit)
+            for text, position, name in [
+                (OVERLONG + "h", 0, "overlong coefficient"),
+                (f"h-{OVERLONG}e1", 2, "overlong signed coefficient"),
+                ("e" + OVERLONG, 1, "overlong index"),
+                (f"h+e1-2e{OVERLONG}", 7, "overlong last index"),
+            ]
+        ),
     ],
 )
 def test_parse_errors_carry_position(text, position):

@@ -35,10 +35,12 @@ from delpezzo.lattice import _vector, closure
 from delpezzo.weyl import _arrangements, _descend, _orbit_size, _parabolic_order, _sorted_images
 from helpers import (
     LINE_COUNTS,
+    OVERLONG,
     ROOT_COUNTS,
     bfs_orbit,
     bfs_orbit_of_set,
     chain_parabolic_order,
+    needs_int_digit_limit,
     position_triple_images,
     random_vector,
     random_word,
@@ -62,6 +64,13 @@ def test_word_syntax():
     with pytest.raises(DomainError):
         parse_word("s1,s²")
     assert parse_word("s١,s3") == (1, 3)
+
+
+@needs_int_digit_limit
+def test_word_with_an_overlong_index_is_a_bad_token():
+    for text in ("s" + OVERLONG, "s1,s" + OVERLONG):
+        with pytest.raises(DomainError, match="bad word token"):
+            parse_word(text)
 
 
 def test_reflect_examples():
