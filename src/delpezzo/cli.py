@@ -8,7 +8,7 @@ writer prints both formats as a head, the items, then a tail, and joins
 items that are all str in one call.
 
 Exit codes: 0 success, 2 domain/configuration errors (including vector
-parse errors), 3 resource caps.
+parse errors and numbers longer than str() prints), 3 resource caps.
 """
 
 from __future__ import annotations
@@ -111,12 +111,10 @@ def _handle_orbit(args, lattice):
 def _handle_weights(args, lattice):
     if args.mode == "adjoint":
         system = adjoint_weight_system(lattice)
-        items = [
-            {"weight": str(v), "multiplicity": m} for v, m in system.entries
-        ]
-        counts = {"total_multiplicity": sum(e["multiplicity"] for e in items)}
-        extra = {"dimension": system.dimension, "highest": str(system.highest)}
-        return {"mode": "adjoint"}, counts, items, extra
+        items = [{"weight": str(v), "multiplicity": m} for v, m in system.entries]
+        counts = {"total_multiplicity": system.dimension}
+        rest = {"dimension": system.dimension, "highest": str(system.highest)}
+        return {"mode": "adjoint"}, counts, items, rest
     if args.fundamental is None:
         raise DomainError("--fundamental is required unless --adjoint is given")
     i = args.fundamental
@@ -160,8 +158,8 @@ def _handle_degenerate(args, lattice):
     counts = {"classes": sum(p.size for p in parts), **Counter(f"size_{p.size}" for p in parts)}
     # a line is a singleton exactly when it is orthogonal to every curve
     counts["incident_lines"] = counts["classes"] - counts.get("size_1", 0)
-    extra = {"gauge_type": str(config.dynkin)}
-    return {"curves": args.curves}, counts, items, extra
+    rest = {"gauge_type": str(config.dynkin)}
+    return {"curves": args.curves}, counts, items, rest
 
 
 def _parse_assignments(args, r) -> list[TorsionPoint]:
@@ -184,13 +182,11 @@ def _handle_period(args, lattice):
     points = _parse_assignments(args, lattice.r)
     period = make_period(points)
     items = [{"basis": s, "value": str(p)} for s, p in zip(_symbols(lattice.r), period.images)]
-    extra = {
-        "coroot_values": [str(p) for p in restrict_to_coroots(period, lattice)]
-    }
+    rest = {"coroot_values": [str(p) for p in restrict_to_coroots(period, lattice)]}
     if args.canonical:
         canonical = weyl_canonicalize(period, lattice, cap=_orbit_cap())
-        extra["canonical"] = [str(p) for p in canonical]
-    return {"canonical": bool(args.canonical)}, {}, items, extra
+        rest["canonical"] = [str(p) for p in canonical]
+    return {"canonical": bool(args.canonical)}, {}, items, rest
 
 
 @lru_cache(maxsize=None)  # built on the first run, then shared by every call
@@ -278,35 +274,33 @@ def _plain(items: list) -> bool:
     )
 
 
-def _write(report: dict, fmt: str) -> None:
-    """Write a report in the one shape run builds: tool, query and counts,
-    then items, then the keys after them (rest).  A table puts one item on
-    each line; a JSON report is byte for byte json.dumps(report, indent=2)
-    + "\n".  Items that are all str are joined in one call; others are
-    rendered one at a time."""
-    pairs = list(report.items())
-    items, rest = report["items"], dict(pairs[4:])
+def _write(head: dict, items: list, rest: dict, fmt: str) -> None:
+    """Write a report from its three parts: head (tool, query, counts),
+    items, and rest (the keys after items).  A table puts one item on each
+    line; a JSON report is byte for byte
+    json.dumps({**head, "items": items, **rest}, indent=2) + "\n".  Items
+    that are all str are joined in one call; others are rendered one at a
+    time."""
     if fmt == "json":
-        parts = [json.dumps(dict(pairs[:3]), indent=2)[:-2] + ',\n  "items": ']
+        parts = [json.dumps(head, indent=2)[:-2] + ',\n  "items": ']
         if _plain(items):
             parts += ('[\n    "', '",\n    "'.join(items), '"\n  ]')
         else:  # one level deeper than alone; a JSON string holds no raw newline
             parts.append(json.dumps(items, indent=2).replace("\n", "\n  "))
         parts.append("," + json.dumps(rest, indent=2)[1:] + "\n" if rest else "\n}\n")
     else:
-        query = report["query"]
-        head = [query["command"] + "".join(
+        query = head["query"]
+        lines = [query["command"] + "".join(
             f" {k}={v}" for k, v in query.items() if k != "command"
         )]
-        head += (f"{k}: {_render_value(v)}" for k, v in rest.items())
-        head.append("counts: " + " ".join(f"{k}={v}" for k, v in report["counts"].items()))
+        lines += (f"{k}: {_render_value(v)}" for k, v in rest.items())
+        lines.append("counts: " + " ".join(f"{k}={v}" for k, v in head["counts"].items()))
         try:
             body = "\n".join(items)
         except TypeError:  # a dict or list item
             body = "\n".join(map(_render_value, items))
-        parts = ["\n".join(head) + "\n", body, "\n" if items else ""]
-    for text in parts:
-        sys.stdout.write(text)
+        parts = ["\n".join(lines) + "\n", body, "\n" if items else ""]
+    sys.stdout.writelines(parts)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -318,23 +312,18 @@ def run(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         lattice = make_marked_lattice(args.r)
-        query, counts, items, extra = args.handler(args, lattice)
-    except OrbitCapError as exc:
+        query, counts, items, rest = args.handler(args, lattice)
+    except (OrbitCapError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = {
+        return 3 if isinstance(exc, OrbitCapError) else 2
+    head = {
         "tool": {"name": "delpezzo", "version": __version__},
         "query": {"command": args.command, "r": args.r, **query},
         "counts": {"items": len(items), **counts},
-        "items": items,
     }
-    report.update(extra)
     if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    _write(report, args.format)
+        rest["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    _write(head, items, rest, args.format)
     return 0
 
 

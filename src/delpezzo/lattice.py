@@ -263,7 +263,10 @@ def _term(c: int, sym: str) -> str:
 
 
 def format_vector(v: LatticeVector) -> str:
-    return "".join(map(_term, v.coeffs(), _symbols(v.rank))).lstrip("+") or "0"
+    try:  # str() refuses more digits than sys.get_int_max_str_digits()
+        return "".join(map(_term, v.coeffs(), _symbols(v.rank))).lstrip("+") or "0"
+    except ValueError as exc:
+        raise DomainError(f"cannot print vector: {exc}") from None
 
 
 def parse_vector(text: str, r: int) -> LatticeVector:

@@ -86,14 +86,30 @@ class TorsionPoint:
         return self.x == 0 and self.y == 0
 
     def __str__(self) -> str:
-        return f"{self.x},{self.y}"
+        try:  # str() refuses more digits than sys.get_int_max_str_digits()
+            return f"{self.x},{self.y}"
+        except ValueError as exc:
+            raise DomainError(f"cannot print torsion point: {exc}") from None
 
 
 @dataclass(frozen=True)
 class PeriodHomomorphism:
-    """Images of (h, e_1, ..., e_r); kills kappa by construction."""
+    """Images of (h, e_1, ..., e_r), 3 <= r <= 8; kills kappa by
+    construction: DomainError on any other count of images and
+    ConstraintError when 3*pi(h) != sum pi(e_i)."""
 
     images: tuple[TorsionPoint, ...]
+
+    def __post_init__(self):
+        if not 4 <= len(self.images) <= 9:
+            raise DomainError(
+                f"need images for h and e_1..e_r with 3 <= r <= 8, got {len(self.images)}"
+            )
+        kappa = evaluate(self, anticanonical(self.r))
+        if not kappa.is_zero():
+            raise ConstraintError(
+                f"kappa image must vanish; got {kappa} from these assignments"
+            )
 
     @property
     def r(self) -> int:
@@ -136,19 +152,8 @@ def _coroot_residues(
 
 
 def make_period(points: Sequence[TorsionPoint]) -> PeriodHomomorphism:
-    """Build a period from basis images, enforcing the kappa constraint."""
-    images = tuple(points)
-    if not 4 <= len(images) <= 9:
-        raise DomainError(
-            f"need images for h and e_1..e_r with 3 <= r <= 8, got {len(images)}"
-        )
-    n, xs, ys = _residues(images)
-    residue = _dot(anticanonical(len(images) - 1).coeffs(), xs, ys, n)
-    if any(residue):
-        raise ConstraintError(
-            f"kappa image must vanish; got {_points(residue, n)[0]} from these assignments"
-        )
-    return PeriodHomomorphism(images)
+    """The period with these basis images; PeriodHomomorphism checks them."""
+    return PeriodHomomorphism(tuple(points))
 
 
 def evaluate(period: PeriodHomomorphism, v: LatticeVector) -> TorsionPoint:

@@ -13,7 +13,14 @@ from delpezzo import (
 )
 from delpezzo.cli import _write, build_parser, run
 
-from helpers import LINE_COUNTS, OVERLONG, ROOT_COUNTS, needs_int_digit_limit, render_table
+from helpers import (
+    INT_DIGIT_LIMIT,
+    LINE_COUNTS,
+    OVERLONG,
+    ROOT_COUNTS,
+    needs_int_digit_limit,
+    render_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +321,18 @@ def test_version(capsys):
     assert out.strip() == f"delpezzo {__version__}"
 
 
+def _unprintable_coroot_period() -> list[str]:
+    """period argv with images +-1/a, +-1/b, +-1/c on e1..e6, a, b, c pairwise
+    coprime with k + 1 digits each: every input is under the digit limit,
+    but the value on h - e1 - e2 - e3 has the 3k + 1 digit denominator abc."""
+    k = INT_DIGIT_LIMIT // 3 + 1
+    dens = [10**k + 1, 10**k + 3, 10**k + 7]
+    argv = ["period", "--r", "6"]
+    for i, (sign, den) in enumerate([(s, d) for s in ("", "-") for d in dens], 1):
+        argv += ["--assign", f"e{i}={sign}1/{den},0"]
+    return argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -336,6 +355,17 @@ def test_version(capsys):
                 ["degenerate", "--r", "6", "--curves", f"e1-{OVERLONG}e2"],
                 ["period", "--r", "6", "--assign", f"e{OVERLONG}=1/2,0"],
             )
+        ),
+        # inputs int() reads, but a number in the report longer than str() prints
+        pytest.param(
+            ["orbit", "--r", "4", "--weight", "9" * INT_DIGIT_LIMIT + "h"],
+            id="orbit whose reflection doubles a coefficient past the digit limit",
+            marks=needs_int_digit_limit,
+        ),
+        pytest.param(
+            _unprintable_coroot_period(),
+            id="period whose coroot value has a denominator past the digit limit",
+            marks=needs_int_digit_limit,
         ),
     ],
     ids=" ".join,
@@ -448,7 +478,11 @@ WRITER_REPORTS = {
 @pytest.mark.parametrize("name", WRITER_REPORTS)
 def test_writer_matches_json_dumps_and_the_per_item_table(name, capsys):
     report = WRITER_REPORTS[name]
-    _write(report, "json")
+    keys = list(report)
+    assert keys[:4] == ["tool", "query", "counts", "items"]
+    head = {k: report[k] for k in keys[:3]}
+    rest = {k: report[k] for k in keys[4:]}
+    _write(head, report["items"], rest, "json")
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
-    _write(report, "table")
+    _write(head, report["items"], rest, "table")
     assert capsys.readouterr().out == render_table(report)

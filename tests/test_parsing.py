@@ -3,6 +3,7 @@ import random
 import pytest
 
 from delpezzo import (
+    DomainError,
     LatticeVector,
     VectorParseError,
     basis_e,
@@ -13,7 +14,13 @@ from delpezzo import (
     parse_vector,
     zero_vector,
 )
-from helpers import OVERLONG, format_tuples, needs_int_digit_limit, two_pass_format_vector
+from helpers import (
+    INT_DIGIT_LIMIT,
+    OVERLONG,
+    format_tuples,
+    needs_int_digit_limit,
+    two_pass_format_vector,
+)
 
 
 def test_round_trip_basis():
@@ -117,6 +124,17 @@ def test_parse_errors_carry_position(text, position):
     assert exc.value.position == position
     assert exc.value.text == text
     assert f"position {position}" in str(exc.value)
+
+
+@needs_int_digit_limit
+def test_a_coefficient_longer_than_str_prints_is_a_domain_error():
+    at_limit = LatticeVector(10 ** (INT_DIGIT_LIMIT - 1), (-1, 0, 0))
+    assert format_vector(at_limit) == "1" + "0" * (INT_DIGIT_LIMIT - 1) + "h-e1"
+    v = LatticeVector(1, (0, -(10**INT_DIGIT_LIMIT), 0))
+    with pytest.raises(DomainError, match="cannot print vector"):
+        str(v)
+    with pytest.raises(ValueError):  # DomainError is a ValueError
+        format_vector(v)
 
 
 def test_index_beyond_rank():

@@ -25,8 +25,10 @@ from delpezzo import (
     weyl_canonicalize,
 )
 from helpers import (
+    INT_DIGIT_LIMIT,
     bfs_canonicalize,
     closed_form_positive_roots,
+    needs_int_digit_limit,
     random_vector,
     random_word,
 )
@@ -40,6 +42,14 @@ def test_torsion_point_normalizes_mod_1():
     assert p.x == Fraction(1, 2)
     assert p.y == Fraction(3, 4)
     assert TorsionPoint(Fraction(2), Fraction(-3)) == Z
+
+
+@needs_int_digit_limit
+def test_a_torsion_point_longer_than_str_prints_is_a_domain_error():
+    p = TorsionPoint(Fraction(1, 10**INT_DIGIT_LIMIT + 1), Fraction(0))
+    with pytest.raises(DomainError, match="cannot print torsion point"):
+        str(p)
+    assert p.x.denominator == 10**INT_DIGIT_LIMIT + 1  # the point itself is exact
 
 
 def test_torsion_point_arithmetic():
@@ -114,6 +124,16 @@ def test_make_period_enforces_kappa():
         make_period([Z] * 3)
     with pytest.raises(DomainError):
         make_period([Z] * 10)
+    # built directly, a period is checked the same way
+    points = tuple(TorsionPoint(Fraction(a), Fraction(b)) for a, b in bad)
+    with pytest.raises(ConstraintError, match="kappa image must vanish; got 1/2,0"):
+        PeriodHomomorphism(points)
+    with pytest.raises(ConstraintError):
+        PeriodHomomorphism((HALF,) + (Z,) * 6)
+    for count in (3, 10):
+        with pytest.raises(DomainError, match=f"got {count}$"):
+            PeriodHomomorphism((Z,) * count)
+    assert PeriodHomomorphism(period.images) == period
 
 
 def test_kappa_always_maps_to_zero():
