@@ -28,9 +28,9 @@ from .degeneration import make_configuration, orbit_decomposition
 from .errors import DomainError, OrbitCapError
 from .geometry import (
     _check_adjunction,
+    _disjoint_sets,
     _line_table,
     coplanar_triples,
-    disjoint_line_sets,
     double_sixes,
 )
 from .lattice import (
@@ -98,7 +98,7 @@ def _handle_sixes(args, lattice):
             for a, b in double_sixes(lattice)
         ]
         return {"double": True}, {"sixes": 2 * len(items)}, items, {}
-    items = [sorted(map(str, s)) for s in disjoint_line_sets(lattice, 6)]
+    items = list(map(sorted, _disjoint_sets(lattice.r, 6, _texts_of_type(lattice.r, -1, 1))))
     return {"double": False}, {}, items, {}
 
 
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd("triples", _handle_triples, help="coplanar line triples (r=6)")
 
-    p = cmd("sixes", _handle_sixes, help="sixes of disjoint lines (r=6)")
-    p.add_argument("--double", action="store_true", help="pair them into double sixes")
+    p = cmd("sixes", _handle_sixes, help="sets of six disjoint lines (r >= 6)")
+    p.add_argument("--double", action="store_true", help="pair them into double sixes (r=6)")
 
     p = cmd("orbit", _handle_orbit, help="Weyl orbit of a vector")
     p.add_argument("--weight", required=True, help="vector like 3h-e1-2e8")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError
 from .lattice import (
@@ -129,7 +129,13 @@ def _line_table(r: int) -> tuple[tuple, tuple, tuple[int, ...]]:
 
 
 def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[LatticeVector]]:
-    """All k-element sets of pairwise-disjoint line classes, in sorted order.
+    """All k-element sets of pairwise-disjoint line classes, in sorted order."""
+    return _disjoint_sets(lattice.r, k, _line_table(lattice.r)[0])
+
+
+def _disjoint_sets(r: int, k: int, members: Sequence) -> list[frozenset]:
+    """The k-sets of pairwise-disjoint rank-r lines, each line i stood in
+    for by members[i]: its vector, or its text for the sixes report.
 
     The sets are the k-cliques of the disjointness graph on the lines,
     found by backtracking on the int bitmasks of the per-rank line table
@@ -139,15 +145,15 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
     index-ascending tuples in lexicographic order, which is the order of
     the sets' sorted member tuples; no sort is needed.  A clique is built
     as `chosen | single[i]` from per-call singletons: a union copies
-    stored hashes, so each line is hashed once per call.
+    stored hashes, so each member is hashed once per call.
     """
-    if not (isinstance(k, int) and 1 <= k <= lattice.r):
-        raise DomainError(f"k must be in 1..{lattice.r}, got {k}")
-    vecs, _, later = _line_table(lattice.r)
-    single = [frozenset((v,)) for v in vecs]
-    out: list[frozenset[LatticeVector]] = []
+    if not (isinstance(k, int) and 1 <= k <= r):
+        raise DomainError(f"k must be in 1..{r}, got {k}")
+    later = _line_table(r)[2]
+    single = [frozenset((m,)) for m in members]
+    out: list[frozenset] = []
 
-    def extend(cand: int, chosen: frozenset[LatticeVector], need: int) -> None:
+    def extend(cand: int, chosen: frozenset, need: int) -> None:
         while cand:
             low = cand & -cand
             cand ^= low
@@ -157,7 +163,7 @@ def disjoint_line_sets(lattice: MarkedLattice, k: int) -> list[frozenset[Lattice
             elif (nxt := cand & later[i]).bit_count() >= need - 1:
                 extend(nxt, chosen | single[i], need - 1)
 
-    extend((1 << len(vecs)) - 1, frozenset(), k)
+    extend((1 << len(single)) - 1, frozenset(), k)
     return out
 
 

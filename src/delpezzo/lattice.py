@@ -315,11 +315,17 @@ class MarkedLattice:
 
     The simple coroots are alpha_i = e_i - e_{i+1} for i < r and
     alpha_r = h - e_1 - e_2 - e_3; they form a Z-basis of kappa-perp.
+    Construction checks that r is in 3..8 and that kappa and the coroots
+    are these, which the Weyl kernel assumes; make_marked_lattice builds them.
     """
 
     r: int
     kappa: LatticeVector
     simple_coroots: tuple[LatticeVector, ...]
+
+    def __post_init__(self):
+        if (self.kappa, self.simple_coroots) != _standard_marking(self.r):
+            raise DomainError(f"kappa and simple coroots must be make_marked_lattice({self.r})'s")
 
     @property
     def d(self) -> int:
@@ -337,17 +343,21 @@ class MarkedLattice:
         return zero_vector(self.r)
 
 
-@lru_cache(maxsize=None)
-def make_marked_lattice(r: int) -> MarkedLattice:
+def _standard_marking(r: int) -> tuple[LatticeVector, tuple[LatticeVector, ...]]:
+    """kappa and the simple coroots of the rank-r marking, for r in 3..8."""
     if not isinstance(r, int) or not MIN_RANK <= r <= MAX_RANK:
         raise DomainError(f"rank r must be an integer in {MIN_RANK}..{MAX_RANK}, got {r!r}")
-    kappa = anticanonical(r)
     coroots = [basis_e(r, i) - basis_e(r, i + 1) for i in range(1, r)]
     coroots.append(basis_h(r) - basis_e(r, 1) - basis_e(r, 2) - basis_e(r, 3))
-    lattice = MarkedLattice(r, kappa, tuple(coroots))
-    assert inner(kappa, kappa) == 9 - r
+    return anticanonical(r), tuple(coroots)
+
+
+@lru_cache(maxsize=None)
+def make_marked_lattice(r: int) -> MarkedLattice:
+    lattice = MarkedLattice(r, *_standard_marking(r))
+    assert inner(lattice.kappa, lattice.kappa) == 9 - r
     for alpha in lattice.simple_coroots:
-        assert inner(alpha, alpha) == -2 and inner(alpha, kappa) == 0
+        assert inner(alpha, alpha) == -2 and inner(alpha, lattice.kappa) == 0
     dual_basis_lifts(lattice)  # validates independence via the dual basis
     return lattice
 

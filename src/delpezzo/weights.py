@@ -97,8 +97,7 @@ def adjoint_weight_system(lattice: MarkedLattice) -> WeightSystem:
         raise DomainError("adjoint weight system requires 4 <= r <= 8")
     roots = enumerate_roots(lattice)
     entries = [(root.vector, 1) for root in roots]
-    entries.append((zero_vector(lattice.r), lattice.r))
-    entries.sort()
+    entries.insert(len(roots) // 2, (zero_vector(lattice.r), lattice.r))
     return WeightSystem(tuple(entries), len(roots) + lattice.r, -highest_root(lattice).vector)
 
 

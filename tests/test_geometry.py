@@ -31,7 +31,13 @@ from delpezzo import (
     root_from_six,
     vectors_of_type,
 )
-from delpezzo.geometry import _check_double_six, _line_table, _triples_summing_to
+from delpezzo.geometry import (
+    _check_double_six,
+    _disjoint_sets,
+    _line_table,
+    _triples_summing_to,
+)
+from delpezzo.lattice import _texts_of_type
 from helpers import (
     LINE_COUNTS,
     backtrack_disjoint_line_sets,
@@ -136,7 +142,12 @@ def test_disjoint_line_sets():
 )
 def test_disjoint_line_sets_match_backtracking(r, k):
     M = make_marked_lattice(r)
-    assert disjoint_line_sets(M, k) == backtrack_disjoint_line_sets(M, k)
+    oracle = backtrack_disjoint_line_sets(M, k)
+    assert disjoint_line_sets(M, k) == oracle
+    # the sixes report's path: the same search over the lines' texts
+    assert _disjoint_sets(r, k, _texts_of_type(r, -1, 1)) == [
+        frozenset(map(str, s)) for s in oracle
+    ]
 
 
 def test_disjoint_line_sets_hash_each_line_once(monkeypatch):
@@ -168,6 +179,7 @@ def test_line_table_matches_inner(r):
     vecs, ts, later = _line_table(r)
     assert list(vecs) == vectors_of_type(make_marked_lattice(r), -1, 1)
     assert ts == tuple(v.coeffs() for v in vecs)
+    assert _texts_of_type(r, -1, 1) == [str(v) for v in vecs]
     assert wrap_mismatches(vecs) == []
     for i, a in enumerate(vecs):
         want = sum(1 << j for j, b in enumerate(vecs) if j > i and inner(a, b) == 0)

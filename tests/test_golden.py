@@ -124,6 +124,11 @@ LARGE_REPORT_SHA256 = {
         "f56d36d9dde151c563cf0e55c33d5b0d28a65fb7d5067646cbee765a1b121dd4",
     ("lines", "--r", "8", "json"):
         "461595f73dd6d8837f21d1d6c5712c5c219f0ccd522cfd8e5c2dcec3638bc1b0",
+    # recorded while the sixes report still formatted each set's vectors
+    ("sixes", "--r", "7", "table"):
+        "5f7c7b3f486d7d5387cb70c01d0261263a3f409a6b51b750766ea71273137b6d",
+    ("sixes", "--r", "7", "json"):
+        "bb9d040dd4fce4196247efa79e34d95ddd88aab8f995faeb59a899b1966002b2",
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from delpezzo import (
     DomainError,
     LatticeVector,
+    MarkedLattice,
     TorsionPoint,
     anticanonical,
     apply_word,
@@ -51,6 +52,8 @@ from delpezzo.lattice import (
 from helpers import LINE_COUNTS, brute_force_classes, format_tuples, recursive_tuples_of_type
 
 RANKS = range(3, 9)
+M6 = make_marked_lattice(6)
+MARKING_MESSAGE = "kappa and simple coroots must be make_marked_lattice({})'s"
 
 
 @pytest.mark.parametrize("r", RANKS)
@@ -72,6 +75,32 @@ def test_rank_bounds():
         make_marked_lattice(2)
     with pytest.raises(DomainError):
         make_marked_lattice(9)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # reversed coroots broke cartan_matrix with an AssertionError, and
+        # weight_evaluations read them while orbit used the standard ones
+        ((6, M6.kappa, M6.simple_coroots[::-1]), MARKING_MESSAGE.format(6)),
+        ((6, 2 * M6.kappa, M6.simple_coroots), MARKING_MESSAGE.format(6)),
+        ((5, M6.kappa, M6.simple_coroots), MARKING_MESSAGE.format(5)),
+        ((6, M6.kappa, list(M6.simple_coroots)), MARKING_MESSAGE.format(6)),
+        ((9, anticanonical(9), ()), "rank r must be an integer in 3..8, got 9"),
+        ((6.0, M6.kappa, M6.simple_coroots), "rank r must be an integer in 3..8, got 6.0"),
+    ],
+)
+def test_marked_lattice_rejects_any_other_marking(args, message):
+    with pytest.raises(DomainError) as info:
+        MarkedLattice(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_marked_lattice_built_by_hand_equals_the_standard_one(r):
+    M = make_marked_lattice(r)
+    B = MarkedLattice(r, M.kappa, M.simple_coroots)
+    assert B == M and hash(B) == hash(M) and repr(B) == repr(M)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, "6", None])
@@ -371,7 +400,6 @@ def test_lifts_reject_wrong_length_psi(psi):
     assert str(exc.value) == message
 
 
-M6 = make_marked_lattice(6)
 NON_INT_ENTRY_POINTS = {
     "basis_e": lambda x: basis_e(6, x),
     "MarkedLattice.e": lambda x: M6.e(x),
