@@ -149,22 +149,24 @@ def _disjoint_sets(r: int, k: int, members: Sequence) -> list[frozenset]:
     """
     if not (isinstance(k, int) and 1 <= k <= r):
         raise DomainError(f"k must be in 1..{r}, got {k}")
-    later = _line_table(r)[2]
     single = [frozenset((m,)) for m in members]
     out: list[frozenset] = []
-
-    def extend(cand: int, chosen: frozenset, need: int) -> None:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            if need == 1:
-                out.append(chosen | single[i])
-            elif (nxt := cand & later[i]).bit_count() >= need - 1:
-                extend(nxt, chosen | single[i], need - 1)
-
-    extend((1 << len(single)) - 1, frozenset(), k)
+    _extend((1 << len(single)) - 1, frozenset(), k, _line_table(r)[2], single, out)
     return out
+
+
+def _extend(cand: int, chosen: frozenset, need: int, later: tuple, single: list, out: list) -> None:
+    """Append to out every clique chosen | single[i] | ... of `need` more
+    lines from the candidate bits `cand`; a module function, not a closure
+    over itself, so the cliques are freed by reference counting."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        if need == 1:
+            out.append(chosen | single[i])
+        elif (nxt := cand & later[i]).bit_count() >= need - 1:
+            _extend(nxt, chosen | single[i], need - 1, later, single, out)
 
 
 @dataclass(frozen=True)

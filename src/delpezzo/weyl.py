@@ -10,7 +10,10 @@ c_{i+1}; for i = r the label is m = a + c_1 + c_2 + c_3 and s_r adds m
 to a and subtracts it from c_1, c_2, c_3.  Words and descents use this
 kernel.  Orbits use its quotient by S_r = <s_1, ..., s_{r-1}>, the
 permutations of c: a Weyl orbit is the disjoint union of the S_r-orbits
-of the (a, sorted c) in it, found by closing them under s_r.  Orbits
+of the (a, sorted c) in it, found by closing them under s_r.  Each
+height is then listed in lexicographic order by one depth-first walk
+over the distinct prefixes of its sorted c together, which joins each
+prefix to the memoized permutations of its last five slots.  Orbits
 of sets act on int indices into the sorted union of the members' orbits,
 through a table of each index's simple reflections.
 """
@@ -154,21 +157,35 @@ def _sorted_images(q: Coeffs) -> Iterator[Coeffs]:
             yield (a + m, *sorted(d + [x - m, y - m, z - m]))
 
 
-def _arrangements(c: Coeffs, memo: dict[Coeffs, list[Coeffs]]) -> list[Coeffs]:
-    """The distinct permutations of the sorted tuple c, in lexicographic
-    order; memo holds those of each sorted sub-multiset already listed."""
-    if len(c) <= 1:
-        return [c]
-    out = memo.get(c)
-    if out is None:
-        out = []
+def _join_tails(prefix: Coeffs, rests: tuple[Coeffs, ...], memo: dict, out: list[Coeffs]) -> None:
+    """Append prefix + p to out for every distinct permutation p of every
+    multiset in rests (sorted tuples of one length, no two equal), in
+    lexicographic order: a depth-first walk over the distinct prefixes
+    (after Knuth, TAOCP 4A, 7.2.1.2, Algorithm L).  From five free slots
+    down, memo holds the listing of each rests, built once by the same walk
+    one slot shorter, and the prefix is joined to it in one pass, so each
+    output tuple is built once."""
+    if len(rests[0]) > 5:
+        for x, left in _children(rests):
+            _join_tails(prefix + (x,), left, memo, out)
+        return
+    tails = memo.get(rests)
+    if tails is None:
+        tails = memo[rests] = [] if rests[0] else [()]
+        for x, left in _children(rests):
+            _join_tails((x,), left, memo, tails)
+    out += [prefix + p for p in tails]
+
+
+def _children(rests: tuple[Coeffs, ...]) -> list[tuple[int, tuple[Coeffs, ...]]]:
+    """(x, rests') for each distinct value x in rests, in increasing order;
+    rests' holds each member of rests that has an x, less one x."""
+    kids: dict[int, tuple[Coeffs, ...]] = {}
+    for c in rests:
         for i, x in enumerate(c):
-            if i and x == c[i - 1]:
-                continue
-            head = (x,)
-            out += [head + p for p in _arrangements(c[:i] + c[i + 1 :], memo)]
-        memo[c] = out
-    return out
+            if not i or x != c[i - 1]:
+                kids[x] = kids.get(x, ()) + (c[:i] + c[i + 1 :],)
+    return sorted(kids.items())
 
 
 # --- public API ---------------------------------------------------------------
@@ -202,15 +219,14 @@ def _capped_orbit_size(v: LatticeVector, lattice: MarkedLattice, cap: int) -> tu
 def _listing(dom: Coeffs, size: int) -> tuple[list[int], list[Coeffs]]:
     """Heights and tails of the orbit of the dominant tuple dom, in
     lexicographic order, by S_r-quotient: the (a, sorted c) in it are
-    closed under s_r from dom, each gives the distinct permutations of its
-    c, and only a height held by several of them needs a sort.
+    closed under s_r from dom, and the c of each height a are listed by
+    one _join_tails walk over their distinct permutations, already in
+    order, with one memo of five-slot tails for the whole listing.
     InternalError unless the listing has `size` elements."""
-    heights, tails = [], []
+    heights, tails, memo = [], [], {}
     for a, qs in groupby(sorted(closure(dom, _sorted_images)), itemgetter(0)):
-        qs = list(qs)
-        found = [p for q in qs for p in _arrangements(q[1:], {})]
-        heights += repeat(a, len(found))
-        tails += sorted(found) if len(qs) > 1 else found
+        _join_tails((), tuple(q[1:] for q in qs), memo, tails)
+        heights += repeat(a, len(tails) - len(heights))
     if len(tails) != size:
         raise InternalError(f"orbit listing found {len(tails)} elements, |W|/|W_J| = {size}")
     return heights, tails
@@ -223,9 +239,10 @@ def orbit(
 
     The orbit size |W|/|W_J|, J the zero labels of the dominant
     representative, is checked against the limit of lattice._cap_limit
-    before any work; _listing's heights and permutations then go to
-    lattice._vectors as they are.  The listing makes no reference cycles,
-    so the cyclic collector is paused while it runs.
+    before any work; _listing's prefix walk builds each orbit tuple once,
+    and its heights and tuples go to lattice._vectors as they are.  The
+    listing makes no reference cycles, so the cyclic collector is paused
+    while it runs.
     """
     dom, size = _capped_orbit_size(v, lattice, cap)
     enabled = gc.isenabled()

@@ -1,0 +1,70 @@
+"""The bulk builders leave no cyclic garbage: what they build is freed by
+reference counting alone.
+
+`weyl.orbit` pauses the cyclic collector on the promise that its listing
+makes no reference cycles, and a list of sets or tuples held in a cycle
+(say, by a recursive closure whose cell also holds the output) lives until
+the next full collection.  Each builder runs once to fill the per-process
+caches (the CLI parser, the line tables), then again with the collector
+off; after its result is dropped, a collection must find nothing.
+"""
+
+import gc
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from delpezzo import (
+    disjoint_line_sets,
+    dual_basis_lifts,
+    lines,
+    make_configuration,
+    make_marked_lattice,
+    orbit,
+    orbit_decomposition,
+    orbit_of_set,
+    vectors_of_type,
+)
+from delpezzo.cli import run
+from delpezzo.lattice import _texts_of_type
+
+
+def _sixes_report():
+    with redirect_stdout(io.StringIO()):
+        return run(["sixes", "--r", "7"])
+
+
+def _decomposition():
+    M = make_marked_lattice(6)
+    vecs = [c.vector for c in lines(M)]
+    return orbit_decomposition(make_configuration([M.e(1) - M.e(2)], M), vecs, M)
+
+
+BUILDERS = {
+    "orbit-E8-w2": lambda: orbit(dual_basis_lifts(make_marked_lattice(8))[1], make_marked_lattice(8)),
+    "orbit_of_set": lambda: orbit_of_set(
+        [make_marked_lattice(7).e(7), make_marked_lattice(7).e(6)], make_marked_lattice(7)
+    ),
+    "disjoint_line_sets-7-3": lambda: disjoint_line_sets(make_marked_lattice(7), 3),
+    "disjoint_line_sets-8-2": lambda: disjoint_line_sets(make_marked_lattice(8), 2),
+    "orbit_decomposition": _decomposition,
+    "vectors_of_type": lambda: vectors_of_type(make_marked_lattice(8), 1, 3),
+    "_texts_of_type": lambda: _texts_of_type(8, 1, 3),
+    "cli-sixes-r7": _sixes_report,
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_builder_leaves_no_cyclic_garbage(build):
+    build()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = build()
+        del result
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

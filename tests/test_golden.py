@@ -129,6 +129,12 @@ LARGE_REPORT_SHA256 = {
         "5f7c7b3f486d7d5387cb70c01d0261263a3f409a6b51b750766ea71273137b6d",
     ("sixes", "--r", "7", "json"):
         "bb9d040dd4fce4196247efa79e34d95ddd88aab8f995faeb59a899b1966002b2",
+    # E8 w2, 69,120 elements; recorded while each height's orbit tuples
+    # were still listed per representative and sorted
+    ("orbit", "--r", "8", "--weight", "2h-e1-e2", "table"):
+        "4cd0914eba2d63bf013405e4c3bd728482ece969c05f071f05285a9e932a93ac",
+    ("orbit", "--r", "8", "--weight", "2h-e1-e2", "json"):
+        "f9f75670518384a727e679fd2e03c1389d5caf807b261248e9bb4befc55c5423",
 }
 
 

@@ -32,7 +32,7 @@ from delpezzo import (
 from delpezzo import weyl
 from delpezzo.errors import InternalError
 from delpezzo.lattice import _vector, closure
-from delpezzo.weyl import _arrangements, _descend, _orbit_size, _parabolic_order, _sorted_images
+from delpezzo.weyl import _descend, _join_tails, _orbit_size, _parabolic_order, _sorted_images
 from helpers import (
     LINE_COUNTS,
     OVERLONG,
@@ -292,7 +292,22 @@ def test_orbit_matches_reverse_search_on_large_orbits(r, weights, size):
 def test_arrangements_are_the_distinct_permutations():
     for n in range(1, 7):
         for c in combinations_with_replacement(range(-2, 3), n):
-            assert _arrangements(c, {}) == sorted(set(permutations(c)))
+            _join_tails((), (c,), {}, out := [])
+            assert out == sorted(set(permutations(c)))
+
+
+def test_join_tails_lists_a_union_of_multisets_in_order():
+    # lengths 1..8 cross the switch to memoized five-slot tails; distinct
+    # sorted tuples share no permutation, so the union has no repeats
+    rng = random.Random(3030)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        rests = sorted({tuple(sorted(rng.choices(range(-2, 3), k=n))) for _ in range(rng.randint(1, 4))})
+        prefix = tuple(rng.choices(range(-1, 2), k=rng.randint(0, 2)))
+        memo, out = {}, []
+        _join_tails(prefix, tuple(rests), memo, out)
+        assert out == sorted(prefix + p for c in rests for p in set(permutations(c))), rests
+        assert all(len(key[0]) <= 5 for key in memo)
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -310,8 +325,9 @@ def test_sorted_images_close_over_the_sorted_orbit(r):
 
 
 def test_orbit_memory_peak_stays_at_the_listing():
-    # _arrangements gets a fresh memo for each sorted representative; one
-    # memo shared over all of them took this peak to 1.85x the listing's
+    # the listing's one memo holds tails of at most five slots; a memo of
+    # sub-multisets of every length, shared over the sorted representatives,
+    # took this peak to 1.85x the listing's
     M = make_marked_lattice(8)
     w = dual_basis_lifts(M)[1]
     _orbit_size(w.coeffs())  # fill the caches of the orbit-size prediction first
