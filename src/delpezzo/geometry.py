@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError
@@ -184,19 +184,25 @@ def blowdown_basis(
 
     gamma = (kappa + sum of the lines)/3; integrality of that vector is
     exactly the condition for the lines to contract to a plane marking.
+
+    Disjointness is one square: two distinct lines have L.L' >= 0, since
+    L - L' lies in the negative definite kappa-perp and (L - L')^2 =
+    -2 - 2 L.L' < 0, so r distinct lines are pairwise disjoint exactly
+    when (sum L)^2 = -r.  Input that fails goes to _raise_first_fault.
     """
     eps = tuple(sorted(map(_vector_of, classes)))
     if len(eps) != lattice.r:
         raise DomainError(f"need exactly r = {lattice.r} classes, got {len(eps)}")
     ts = [_coeffs(a, lattice) for a in eps]
     kappa = lattice.kappa.coeffs()
-    for i, (a, t) in enumerate(zip(eps, ts)):
-        if _form(t, t) != -1 or _form(t, kappa) != 1:
-            raise DomainError(f"{a} is not a line class")
-        for b, u in zip(eps[i + 1 :], ts[i + 1 :]):
-            if _form(t, u):
-                raise DomainError(f"lines {a} and {b} are not disjoint")
-    total = [sum(col) for col in zip(kappa, *ts)]
+    s = [sum(col) for col in zip(*ts)]
+    if not (
+        all(_form(t, t) == -1 and _form(t, kappa) == 1 for t in ts)
+        and len(set(ts)) == len(ts)
+        and _form(s, s) == -len(ts)
+    ):
+        _raise_first_fault(eps, ts, kappa)
+    total = list(map(add, kappa, s))
     if any(c % 3 != 0 for c in total):
         raise DomainError("gamma = (kappa + sum)/3 is not integral for these lines")
     g = tuple(c // 3 for c in total)
@@ -204,6 +210,18 @@ def blowdown_basis(
     assert not any(_form(g, t) for t in ts)
     gamma = _vector(g)
     return BlowdownBasis(gamma, eps)
+
+
+def _raise_first_fault(eps: Sequence[LatticeVector], ts: list, kappa: tuple[int, ...]) -> None:
+    """Raise the first fault of the sorted classes, in the order the pair
+    test meets them: class i not a line, then class i meeting a later one."""
+    for i, (a, t) in enumerate(zip(eps, ts)):
+        if _form(t, t) != -1 or _form(t, kappa) != 1:
+            raise DomainError(f"{a} is not a line class")
+        for b, u in zip(eps[i + 1 :], ts[i + 1 :]):
+            if _form(t, u):
+                raise DomainError(f"lines {a} and {b} are not disjoint")
+    raise InternalError("the square of the sum and the pair test disagree")
 
 
 def root_from_six(

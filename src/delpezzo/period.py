@@ -3,7 +3,9 @@
 A period assigns an exact torsion point to each basis vector subject to
 the single relation 3*pi(h) = sum_i pi(e_i) (kappa must die).  The Weyl
 group acts by precomposition; canonicalization picks the lexicographically
-least coroot-value tuple on the orbit.
+least coroot-value tuple on the orbit.  It searches the ordered simple
+systems (w alpha_1, ..., w alpha_r) value by value on a per-rank table of
+root pairings (_root_table), so no orbit is listed.
 
 The arithmetic runs on one integer kernel of residues.  With N the lcm of
 the denominators of a period's images, the torus value (X/N, Y/N) is its
@@ -16,13 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import ConstraintError, DomainError
-from .lattice import LatticeVector, MarkedLattice, _cap_limit, anticanonical, closure
-from .roots import cartan_matrix
+from .errors import ConstraintError, DomainError, InternalError, OrbitCapError
+from .lattice import (
+    LatticeVector,
+    MarkedLattice,
+    _cap_limit,
+    _dual_row,
+    _form,
+    _tuples_of_type,
+    anticanonical,
+    basis_e,
+    dual_basis_lifts,
+    make_marked_lattice,
+)
 from .weyl import DEFAULT_ORBIT_CAP
 
 __all__ = [
@@ -138,14 +151,11 @@ def _points(values: tuple[int, ...], n: int) -> tuple[TorsionPoint, ...]:
     return tuple(TorsionPoint(Fraction(x, n), Fraction(y, n)) for x, y in pairs)
 
 
-def _coroot_residues(
-    period: PeriodHomomorphism, lattice: MarkedLattice
-) -> tuple[int, tuple[int, ...]]:
-    """N and the residue pairs on the simple coroots, flat: (x_1, y_1, ..., x_r, y_r)."""
+def _images(period: PeriodHomomorphism, lattice: MarkedLattice) -> tuple[TorsionPoint, ...]:
+    """The period's basis images, checked to be as many as the lattice's basis."""
     if period.r != lattice.r:
         raise DomainError(f"period rank {period.r} != lattice rank {lattice.r}")
-    n, xs, ys = _residues(period.images)
-    return n, tuple(v for a in lattice.simple_coroots for v in _dot(a.coeffs(), xs, ys, n))
+    return period.images
 
 
 # --- public API ---------------------------------------------------------------
@@ -168,8 +178,8 @@ def restrict_to_coroots(
     period: PeriodHomomorphism, lattice: MarkedLattice
 ) -> tuple[TorsionPoint, ...]:
     """Values on the simple coroots; zero everywhere iff the period kills kappa-perp."""
-    n, values = _coroot_residues(period, lattice)
-    return _points(values, n)
+    n, xs, ys = _residues(_images(period, lattice))
+    return _points(tuple(v for a in lattice.simple_coroots for v in _dot(a.coeffs(), xs, ys, n)), n)
 
 
 def weyl_canonicalize(
@@ -179,31 +189,145 @@ def weyl_canonicalize(
 ) -> tuple[TorsionPoint, ...]:
     """Least coroot-value tuple over the orbit of precompositions by W.
 
-    Precomposing with the reflection s_j sends the value tuple v to
-    v_i + <alpha_i, alpha_j> v_j: it negates v_j, adds v_j to the Dynkin
-    neighbours of j (Cartan entry -1) and leaves the rest alone, so it
-    fixes tuples with v_j = 0.  Breadth-first closure (lattice.closure) under
-    these maps on flat tuples of residue pairs, x_j and y_j at 2j and 2j + 1,
-    capped at `cap` tuples; only the least tuple is turned back into
-    TorsionPoints.  A cap that is not an int, None too, raises DomainError
-    (lattice._cap_limit) before the search.
+    The values of p o w on the simple coroots are p(w alpha_1), ...,
+    p(w alpha_r), so the orbit is the set of value tuples of the ordered
+    simple systems (w alpha_i), and the least tuple is found by a search
+    over root tuples (beta_1, ..., beta_k) with the Gram matrix of
+    (alpha_1, ..., alpha_k) (_least_values); no orbit is listed.  `cap`
+    bounds the prefixes the search expands: past the limit of
+    lattice._cap_limit it raises OrbitCapError(cap, limit), and a cap that
+    is not an int, None too, raises DomainError before the search.
     """
-    _cap_limit(cap)
-    n, start = _coroot_residues(period, lattice)
-    moves = [
-        (2 * j, [2 * i for i, c in enumerate(row) if c == -1])
-        for j, row in enumerate(cartan_matrix(lattice))
+    limit = _cap_limit(cap)
+    n, xs, ys = _residues(_images(period, lattice))
+    table = _root_table(lattice.r)
+    half = len(table.coeffs) // 2
+    vx = [sum(map(mul, t, xs)) % n for t in table.coeffs[half:]]
+    vy = [sum(map(mul, t, ys)) % n for t in table.coeffs[half:]]
+    # the roots are sorted, so root i is minus root len - 1 - i
+    vals = [-x % n * n + -y % n for x, y in zip(reversed(vx), reversed(vy))]
+    vals += [x * n + y for x, y in zip(vx, vy)]
+    killed = sum(1 << i for i, v in enumerate(vals) if not v)
+    least = _least_values(table, vals, killed, cap, limit)
+    return _points(tuple(c for v in least for c in divmod(v, n)), n)
+
+
+# --- the search over simple systems --------------------------------------------
+
+
+class _RootTable(NamedTuple):
+    """The rank-r roots in increasing order, as coefficient tuples, and int
+    bitmasks over their indices: bit j of zero[i], one[i] and up[i] is set
+    when roots i and j pair 0, 1, and 1 or 2 (root j is then -root i or
+    meets it once).  links[k] lists, for each j < k, the masks that give
+    <alpha_k, alpha_j>: `one` for Dynkin neighbours, `zero` otherwise.
+    row holds the c_i of (9 - r) e_r - kappa = sum_i c_i alpha_i."""
+
+    coeffs: tuple[tuple[int, ...], ...]
+    zero: tuple[int, ...]
+    one: tuple[int, ...]
+    up: tuple[int, ...]
+    links: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    row: tuple[int, ...]
+    kappa: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _root_table(r: int) -> _RootTable:
+    """Built on first use and kept per rank, keyed on the int r.
+
+    The pairings of root i with every root are one integer, sum_c d_c P_c
+    + 2 sum_j 256^j, with d the dual row of root i and P_c the roots'
+    coordinate c packed one byte per root: byte j is their pairing plus 2,
+    in 0..4.  Each mask is read off its bytes by one translate to '0' and
+    '1' digits and one int(.., 2), with no Python step per pair.
+    """
+    ts = tuple(_tuples_of_type(r, -2, 0))
+    ones = int.from_bytes(b"\1" * len(ts), "big")
+    cols = [
+        int.from_bytes(bytes(t[c] + 8 for t in reversed(ts)), "big") - 8 * ones
+        for c in range(r + 1)
     ]
+    picks = [bytes(49 if b in m else 48 for b in range(256)) for m in ((2,), (3,), (3, 4))]
+    masks = []
+    for d in map(_dual_row, ts):
+        digits = (sum(map(mul, d, cols)) + 2 * ones).to_bytes(len(ts), "big")
+        masks.append([int(digits.translate(pick), 2) for pick in picks])
+    zero, one, up = zip(*masks)
+    lattice = make_marked_lattice(r)
+    alphas = [a.coeffs() for a in lattice.simple_coroots]
+    links = tuple(
+        tuple((j, one if _form(a, alphas[j]) else zero) for j in range(k))
+        for k, a in enumerate(alphas)
+    )
+    kappa = lattice.kappa.coeffs()
+    target = ((9 - r) * basis_e(r, r) - lattice.kappa).coeffs()
+    row = tuple(_form(target, w.coeffs()) for w in dual_basis_lifts(lattice))
+    return _RootTable(ts, zero, one, up, links, row, kappa)
 
-    def images(tup):
-        for j, neighbours in moves:
-            vx, vy = tup[j], tup[j + 1]
-            if not (vx or vy):
-                continue
-            image = list(tup)
-            image[j], image[j + 1] = -vx % n, -vy % n
-            for i in neighbours:
-                image[i], image[i + 1] = (image[i] + vx) % n, (image[i + 1] + vy) % n
-            yield tuple(image)
 
-    return _points(min(closure(start, images, cap)), n)
+def _is_weyl_image(table: _RootTable, leaf: Sequence[int]) -> bool:
+    """Whether alpha_i -> beta_i (root leaf[i]), kappa -> kappa extends to an
+    integral isometry, that is, to a Weyl element.  The map is defined on
+    Q(E_r) + Z kappa, of index 9 - r in Z^{1,r} with e_r generating the
+    quotient, so it is integral exactly when the image of e_r,
+    (sum_i c_i beta_i + kappa) / (9 - r), is."""
+    d = 9 - len(table.row)
+    cols = zip(*(table.coeffs[b] for b in leaf))
+    return all((sum(map(mul, table.row, col)) + k) % d == 0 for k, col in zip(table.kappa, cols))
+
+
+def _least_values(
+    table: _RootTable, vals: list[int], killed: int, cap: int, limit: int
+) -> list[int]:
+    """The least (vals[b_1], ..., vals[b_r]) over the leaves (b_1, ..., b_r)
+    that are Weyl images of the simple coroots.
+
+    A depth-first walk on a stack of value groups, least value last: each
+    group holds every prefix of its values, with the mask of the killed
+    roots orthogonal to it.  A prefix is extended by the roots that pair
+    with it as alpha_k pairs with the alpha_j before it (links), and the
+    children are grouped by value; the least group is walked first, and a
+    group none of whose leaves is a Weyl image (_is_weyl_image) gives way
+    to the next.  The reflections in the killed roots orthogonal to a
+    prefix fix p and the prefix, so children that they move into each
+    other have equal subtrees; only the child in the closed chamber of the
+    lexicographic positive system is kept, the one pairing <= 0 with every
+    positive such root, and a closed chamber meets each orbit once
+    (Humphreys 1.12).  Every expanded prefix counts against `limit`.
+    """
+    r = len(table.row)
+    everything = (1 << len(vals)) - 1
+    positive = everything >> len(vals) // 2 << len(vals) // 2
+    expanded = 0
+    path: list[int] = []
+    pending = [[(0, [((), killed)])]]
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            continue
+        depth = len(pending)
+        value, nodes = pending[-1].pop()
+        del path[depth - 1 :]
+        path.append(value)
+        if depth > r:
+            if any(_is_weyl_image(table, prefix) for prefix, _ in nodes):
+                return path[1:]
+            continue
+        children: dict[int, list] = {}
+        for prefix, free in nodes:
+            if expanded == limit:
+                raise OrbitCapError(cap, limit)
+            expanded += 1
+            cand = everything
+            for j, masks in table.links[depth - 1]:
+                cand &= masks[prefix[j]]
+            free_positive = free & positive
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                b = low.bit_length() - 1
+                if not table.up[b] & free_positive:
+                    children.setdefault(vals[b], []).append((prefix + (b,), free & table.zero[b]))
+        pending.append(sorted(children.items(), reverse=True))
+    raise InternalError("no Weyl image of the simple coroots was reached")

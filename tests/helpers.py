@@ -13,12 +13,15 @@ import sys
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
+from operator import mul
 
 import pytest
 
 from delpezzo import (
+    DEFAULT_ORBIT_CAP,
     ConfigurationError,
     DomainError,
     DynkinType,
@@ -27,6 +30,7 @@ from delpezzo import (
     OrbitCapError,
     Root,
     SubOrbit,
+    TorsionPoint,
     VectorParseError,
     basis_e,
     basis_h,
@@ -35,6 +39,7 @@ from delpezzo import (
     expand_in_simple,
     inner,
     lines,
+    make_period,
     positive_roots,
     restrict_to_coroots,
     root_from_six,
@@ -47,6 +52,7 @@ from delpezzo.weyl import _labels, dominant_representative
 LINE_COUNTS = {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
 DYNKIN_NAMES = {3: "A1+A2", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
+WEYL_ORDERS = {3: 12, 4: 120, 5: 1_920, 6: 51_840, 7: 2_903_040, 8: 696_729_600}
 
 
 def esum(r: int, indices) -> LatticeVector:
@@ -594,6 +600,128 @@ def bfs_canonicalize(period, lattice: MarkedLattice, cap: int = 1_000_000):
                         best = image
         frontier = nxt
     return best
+
+
+# Two generic periods, killing no root, as `period --assign` values in basis
+# order: their W-orbits of 2,903,040 and 696,729,600 coroot-value tuples are
+# out of reach of a BFS.
+GENERIC_ASSIGNS = {
+    r: ("h=17/101,72/101", "e1=97/101,8/101", "e2=32/101,15/101", "e3=63/101,97/101",
+        "e4=57/101,60/101", "e5=83/101,48/101", "e6=100/101,26/101", *last)
+    for r, last in ((7, ("e7=23/101,63/101",)), (8, ("e7=12/101,62/101", "e8=11/101,1/101")))
+}
+
+
+def period_of_assigns(assigns):
+    """The period of `period --assign` values given for h, e_1, ..., e_r in order."""
+    return make_period([TorsionPoint.parse(a.split("=")[1]) for a in assigns])
+
+
+def residue_moves(lattice: MarkedLattice, n: int):
+    """images(tup): what the simple reflections make of a flat tuple of
+    residue pairs mod n, (x_1, y_1, ..., x_r, y_r), of coroot values.
+    Precomposing with s_j negates v_j, adds v_j to the Dynkin neighbours of
+    j and fixes tuples with v_j = 0."""
+    moves = [
+        (2 * j, [2 * i for i, b in enumerate(lattice.simple_coroots) if inner(a, b) == 1])
+        for j, a in enumerate(lattice.simple_coroots)
+    ]
+
+    def images(tup):
+        for j, neighbours in moves:
+            vx, vy = tup[j], tup[j + 1]
+            if not (vx or vy):
+                continue
+            image = list(tup)
+            image[j], image[j + 1] = -vx % n, -vy % n
+            for i in neighbours:
+                image[i], image[i + 1] = (image[i] + vx) % n, (image[i + 1] + vy) % n
+            yield tuple(image)
+
+    return images
+
+
+def coroot_residue_orbit(period, lattice: MarkedLattice, cap: int | None = None):
+    """N and the W-orbit of a period's coroot values as flat tuples of residue
+    pairs mod N, closed breadth-first by lattice.closure with its cap rule."""
+    values = restrict_to_coroots(period, lattice)
+    n = lcm(*(c.denominator for v in values for c in (v.x, v.y)))
+    start = tuple(int(c * n) for v in values for c in (v.x, v.y))
+    return n, closure(start, residue_moves(lattice, n), cap)
+
+
+def torsion_census(lattice: MarkedLattice, n: int) -> list[list[tuple[int, ...]]]:
+    """The W-orbits on all n^(2r) flat residue tuples of n-torsion coroot
+    values, each sorted and listed by its least member: the n-torsion points
+    of (Lambda (x) E)/W, with Lambda the coroot lattice and E an elliptic
+    curve."""
+    images = residue_moves(lattice, n)
+    seen: set = set()
+    orbits = []
+    for tup in product(range(n), repeat=2 * lattice.r):
+        if tup not in seen:
+            orbit = closure(tup, images)
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+def period_with_coroot_values(values, r: int):
+    """A period whose simple coroot values are values = (v_1, ..., v_r).
+    With S_i = v_i + ... + v_(r-1) and S_r = 0, t = p(e_r) solves
+    (9 - r) t = sum_i S_i - 3 (S_1 + S_2 + S_3) - 3 v_r, and then
+    p(e_i) = t + S_i and p(h) = v_r + p(e_1) + p(e_2) + p(e_3)."""
+    sums = [TorsionPoint.zero()]
+    for v in reversed(values[:-1]):
+        sums.insert(0, sums[0] + v)
+    rhs = -3 * (values[-1] + sums[0] + sums[1] + sums[2])
+    for s in sums:
+        rhs = rhs + s
+    t = TorsionPoint(rhs.x / (9 - r), rhs.y / (9 - r))
+    es = [t + s for s in sums]
+    return make_period([values[-1] + es[0] + es[1] + es[2], *es])
+
+
+def residue_bfs_canonicalize(period, lattice: MarkedLattice, cap: int = DEFAULT_ORBIT_CAP):
+    """Least member of coroot_residue_orbit as TorsionPoints, OrbitCapError
+    past the cap: the library's canonical form until the search over simple
+    systems replaced it.  Oracle for period.weyl_canonicalize on orbits too
+    large for bfs_canonicalize's Fraction arithmetic."""
+    n, orbit = coroot_residue_orbit(period, lattice, cap)
+    least = min(orbit)
+    return tuple(
+        TorsionPoint(Fraction(x, n), Fraction(y, n)) for x, y in zip(least[::2], least[1::2])
+    )
+
+
+@lru_cache(maxsize=None)
+def _scaled_inverse(columns: tuple[tuple[int, ...], ...]) -> tuple[int, list[list[int]]]:
+    """(D, D A^-1) for the square matrix A with these columns, D the least
+    common denominator of A^-1; A^-1 by Gauss-Jordan on Fractions."""
+    size = len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(i == j) for j in range(size)]
+            for i in range(size)]
+    for k in range(size):
+        pivot = next(i for i in range(k, size) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(size):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    inv = [row[size:] for row in rows]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    return den, [[int(x * den) for x in row] for row in inv]
+
+
+def maps_basis_integrally(betas, lattice: MarkedLattice) -> bool:
+    """Whether alpha_i -> betas[i], kappa -> kappa is an integral map of
+    Z^{1,r}: B A^-1 has integer entries, with A's columns the simple
+    coroots and kappa and B's their images.  Full-matrix oracle for the
+    one-row leaf test period._is_weyl_image."""
+    fixed = (*lattice.simple_coroots, lattice.kappa)
+    den, inv = _scaled_inverse(tuple(v.coeffs() for v in fixed))
+    rows = list(zip(*(v.coeffs() for v in (*betas, lattice.kappa))))
+    return all(sum(map(mul, row, col)) % den == 0 for row in rows for col in zip(*inv))
 
 
 def simple_killed_roots(period, lattice: MarkedLattice) -> list[LatticeVector]:

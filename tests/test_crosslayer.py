@@ -5,13 +5,13 @@ simple roots (helpers.simple_killed_roots) are an RDP configuration, the
 reflections in them fix p, and the multiset of p's values on all roots is a
 Weyl invariant.  Each check runs on the same seeded periods at r = 3..8 of
 orders 2..7 and 101, most images drawn from a palette that repeats zero so
-that many roots die.
+that many roots die; the canonical-form check also on the two generic
+periods of helpers.GENERIC_ASSIGNS.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -21,22 +21,23 @@ from delpezzo import (
     enumerate_roots,
     evaluate,
     expand_in_simple,
-    inner,
     lines,
     make_configuration,
     make_marked_lattice,
     make_period,
     orbit_decomposition,
-    restrict_to_coroots,
     weyl_canonicalize,
 )
-from delpezzo.lattice import closure
-
-from helpers import simple_killed_roots
+from helpers import (
+    GENERIC_ASSIGNS,
+    WEYL_ORDERS,
+    coroot_residue_orbit,
+    period_of_assigns,
+    simple_killed_roots,
+)
 
 Z = TorsionPoint.zero()
 ORDERS = (2, 3, 4, 5, 6, 7, 101)
-WEYL_ORDERS = {3: 12, 4: 120, 5: 1_920, 6: 51_840}
 CAP = 3_000
 
 
@@ -85,34 +86,13 @@ def test_line_sub_orbits_have_one_period_value(periods):
             assert len({evaluate(p, v) for v in part.members}) == 1, (p, part)
 
 
-def _coroot_orbit_size(p, M, cap: int) -> int:
-    """Size of the W-orbit of p's coroot-value tuple, closed on residues mod
-    the common denominator under v_i -> v_i + <alpha_i, alpha_j> v_j."""
-    values = restrict_to_coroots(p, M)
-    n = lcm(*(c.denominator for v in values for c in (v.x, v.y)))
-    start = tuple(int(c * n) for v in values for c in (v.x, v.y))
-    gram = [[inner(a, b) for b in M.simple_coroots] for a in M.simple_coroots]
-    r = M.r
-
-    def images(t):
-        for j in range(r):
-            if t[2 * j] or t[2 * j + 1]:
-                yield tuple(
-                    (t[2 * i + k] + gram[i][j] * t[2 * j + k]) % n
-                    for i in range(r)
-                    for k in (0, 1)
-                )
-
-    return len(closure(start, images, cap))
-
-
 def test_killed_weyl_group_divides_the_stabilizer(periods):
     checked = larger = 0
     for p, M, simple in periods:
         if M.r > 6:
             continue
         try:
-            size = _coroot_orbit_size(p, M, CAP)
+            size = len(coroot_residue_orbit(p, M, CAP)[1])
         except OrbitCapError:
             continue
         stabilizer, rem = divmod(WEYL_ORDERS[M.r], size)
@@ -125,13 +105,9 @@ def test_killed_weyl_group_divides_the_stabilizer(periods):
 
 
 def test_root_values_read_off_the_canonical_form(periods):
-    canonical = Counter()
-    for p, M, _ in periods:
-        try:
-            form = weyl_canonicalize(p, M, cap=CAP)
-        except OrbitCapError:
-            continue
-        canonical[M.r] += 1
+    generic = [(period_of_assigns(a), make_marked_lattice(r)) for r, a in GENERIC_ASSIGNS.items()]
+    for p, M in [(p, M) for p, M, _ in periods] + generic:
+        form = weyl_canonicalize(p, M)
         roots = enumerate_roots(M)
         want = Counter(evaluate(p, a.vector) for a in roots)
         got = Counter()
@@ -141,4 +117,3 @@ def test_root_values_read_off_the_canonical_form(periods):
                 value = value + m * v
             got[value] += 1
         assert got == want, p
-    assert canonical[7] + canonical[8] >= 10 and sum(canonical.values()) >= 60

@@ -25,14 +25,26 @@ from delpezzo import (
     orbit_decomposition,
     orbit_of_set,
     vectors_of_type,
+    weyl_canonicalize,
 )
 from delpezzo.cli import run
 from delpezzo.lattice import _texts_of_type
+from helpers import GENERIC_ASSIGNS, period_of_assigns
 
 
 def _sixes_report():
     with redirect_stdout(io.StringIO()):
         return run(["sixes", "--r", "7"])
+
+
+def _canonical_form():
+    return weyl_canonicalize(period_of_assigns(GENERIC_ASSIGNS[7]), make_marked_lattice(7))
+
+
+def _period_report():
+    argv = ["period", "--r", "7", *(x for a in GENERIC_ASSIGNS[7] for x in ("--assign", a))]
+    with redirect_stdout(io.StringIO()):
+        return run([*argv, "--canonical"])
 
 
 def _decomposition():
@@ -52,6 +64,8 @@ BUILDERS = {
     "vectors_of_type": lambda: vectors_of_type(make_marked_lattice(8), 1, 3),
     "_texts_of_type": lambda: _texts_of_type(8, 1, 3),
     "cli-sixes-r7": _sixes_report,
+    "weyl_canonicalize-generic-r7": _canonical_form,
+    "cli-period-canonical-r7": _period_report,
 }
 
 

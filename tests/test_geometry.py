@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
@@ -27,6 +28,7 @@ from delpezzo import (
     make_configuration,
     make_marked_lattice,
     orbit,
+    parse_vector,
     positive_roots,
     root_from_six,
     vectors_of_type,
@@ -261,6 +263,50 @@ def test_blowdown_basis_rejects_bad_input():
     meeting = es[:5] + [M.h - M.e(1) - M.e(2)]
     with pytest.raises(DomainError):
         blowdown_basis(meeting, M)
+
+
+@pytest.mark.parametrize(
+    "classes,message",
+    [
+        ("e1,e2,e3,e4,e5,e5", "lines e5 and e5 are not disjoint"),  # a repeated line
+        ("e1,e2,e3,e4,e5,h-e1-e2", "lines e2 and h-e1-e2 are not disjoint"),
+        ("e1,e2,e3,e4,e5,h", "h is not a line class"),
+        # the first fault in sorted order wins: the repeat before the non-line h,
+        # the non-line -e1 before the repeat
+        ("e1,e2,e3,e4,e4,h", "lines e4 and e4 are not disjoint"),
+        ("-e1,e2,e3,e4,e5,e5", "-e1 is not a line class"),
+    ],
+)
+def test_blowdown_basis_names_the_first_fault(classes, message):
+    M = make_marked_lattice(6)
+    with pytest.raises(DomainError) as info:
+        blowdown_basis([parse_vector(c, 6) for c in classes.split(",")], M)
+    assert str(info.value) == message
+
+
+def test_blowdown_basis_refuses_exactly_the_meeting_sets():
+    # the sum-square test against the pairwise products, on the 72 sixes,
+    # on each with one line swapped for another, and on random six-sets
+    M = make_marked_lattice(6)
+    vecs = [c.vector for c in lines(M)]
+    rng = random.Random(66)
+    sixes = disjoint_line_sets(M, 6)
+    trials = [sorted(six) for six in sixes]
+    trials += [sorted(six - {rng.choice(sorted(six))} | {rng.choice(vecs)}) for six in sixes]
+    trials += [rng.sample(vecs, 6) for _ in range(50)]
+    outcomes = Counter()
+    for classes in trials:
+        if len(set(classes)) < 6:
+            continue
+        meets = any(inner(a, b) for a, b in combinations(classes, 2))
+        try:
+            blowdown_basis(classes, M)
+        except DomainError as exc:
+            assert meets and "are not disjoint" in str(exc)
+        else:
+            assert not meets
+        outcomes[meets] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 72
 
 
 def test_blowdown_basis_random_sixes():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo.cli import ORBIT_CAP_ENV, run
+from helpers import GENERIC_ASSIGNS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,6 +43,10 @@ _TIED_PERIODS = [
     ("7", "e2=1/2,1/2", "e5=1/2,1/2"),
 ]
 
+# The r = 7 JSON report hashed to 171f389c...084a while the orbit was still
+# closed breadth-first; at r = 8 it ran into the cap then.
+_GENERIC_PERIODS = [(str(r), *assigns) for r, assigns in GENERIC_ASSIGNS.items()]
+
 _THIRDS_ON_H_E1_E2_E3 = (
     "period",
     "--r",
@@ -65,7 +70,7 @@ CASES = (
     ]
     + [
         ("period", "--r", r, *(x for a in assigns for x in ("--assign", a)), "--canonical")
-        for r, *assigns in _TIED_PERIODS
+        for r, *assigns in _TIED_PERIODS + _GENERIC_PERIODS
     ]
     + [
         ("roots", "--r", "3"),

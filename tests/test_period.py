@@ -15,6 +15,7 @@ from delpezzo import (
     apply_word,
     basis_e,
     basis_h,
+    enumerate_roots,
     evaluate,
     inner,
     make_marked_lattice,
@@ -24,13 +25,19 @@ from delpezzo import (
     restrict_to_coroots,
     weyl_canonicalize,
 )
+from delpezzo.lattice import _cap_limit
+from delpezzo.period import _is_weyl_image, _root_table
 from helpers import (
     INT_DIGIT_LIMIT,
+    WEYL_ORDERS,
     bfs_canonicalize,
     closed_form_positive_roots,
+    coroot_residue_orbit,
+    maps_basis_integrally,
     needs_int_digit_limit,
     random_vector,
     random_word,
+    residue_bfs_canonicalize,
 )
 
 Z = TorsionPoint.zero()
@@ -326,19 +333,17 @@ def test_canonicalize_matches_oracle_on_generic_periods(r, n):
 @pytest.mark.parametrize("r,draws", [(3, 10), (4, 6), (5, 2), (6, 1)])
 def test_canonicalize_matches_oracle_on_random_periods(r, draws):
     # Draws whose orbit exceeds 5,000 are skipped, since the oracle BFS takes
-    # seconds on those; test_canonicalize_cap_boundary_matches_oracle
-    # compares the cap path itself.
+    # seconds on those.
     M = make_marked_lattice(r)
     rng = random.Random(40 + r)
     compared = 0
     while compared < draws:
         period = _random_period(rng, r)
         try:
-            got = weyl_canonicalize(period, M, cap=5_000)
-        except OrbitCapError as exc:
-            assert (exc.cap, exc.partial_count) == (5_000, 5_000)
+            residue_bfs_canonicalize(period, M, cap=5_000)
+        except OrbitCapError:
             continue
-        _assert_exact(got, bfs_canonicalize(period, M, cap=5_000))
+        _assert_exact(weyl_canonicalize(period, M), bfs_canonicalize(period, M))
         compared += 1
 
 
@@ -350,14 +355,20 @@ def _cap_outcome(fn, period, M, cap):
 
 
 def test_canonicalize_cap_boundary_matches_oracle():
+    # The cap bounds the prefixes the search expands: every cap below the
+    # least answering one raises with the cap rule's limit, every cap from
+    # it up answers, and no orbit has to fit under it.
     M = make_marked_lattice(6)
     period = make_period([Z, HALF, Z, Z, Z, Z, HALF])  # half-points on e1 and e6
     size = 36
-    for cap in range(-3, size + 3):
-        want = _cap_outcome(bfs_canonicalize, period, M, cap)
-        assert _cap_outcome(weyl_canonicalize, period, M, cap) == want
-        # the oracle finds exactly `size` tuples: it raises below that cap only
-        assert (want[0] == "cap") == (cap < size)
+    assert len(coroot_residue_orbit(period, M)[1]) == size
+    want = bfs_canonicalize(period, M)
+    caps = range(-3, size + 3)
+    outcomes = [_cap_outcome(weyl_canonicalize, period, M, cap) for cap in caps]
+    least = next(cap for cap, out in zip(caps, outcomes) if out[0] != "cap")
+    assert least <= size
+    for cap, out in zip(caps, outcomes):
+        assert out == (("cap", cap, _cap_limit(cap)) if cap < least else want)
 
 
 def test_every_capped_search_defaults_to_the_orbit_cap():
@@ -376,9 +387,76 @@ def test_canonicalize_generic_r6_is_weyl_invariant():
     assert canonical <= restrict_to_coroots(period, M)
 
 
-def test_canonicalize_generic_r8_hits_cap():
+def test_canonicalize_generic_r8_answers():
+    # A generic r = 8 period has an orbit of |W(E8)| = 696,729,600 tuples,
+    # out of reach of any BFS; the search answers well under a cap of 10,000.
     M = make_marked_lattice(8)
-    period = _generic_period(random.Random(81), 8, 7)
-    with pytest.raises(OrbitCapError) as info:
-        weyl_canonicalize(period, M, cap=10_000)
-    assert (info.value.cap, info.value.partial_count) == (10_000, 10_000)
+    rng = random.Random(81)
+    period = _generic_period(rng, 8, 7)
+    canonical = weyl_canonicalize(period, M, cap=10_000)
+    for _ in range(3):
+        moved = _precompose(period, random_word(rng, 8, 12), M)
+        assert weyl_canonicalize(moved, M, cap=10_000) == canonical
+    assert canonical <= restrict_to_coroots(period, M)
+
+
+def test_canonicalize_checks_the_rank():
+    with pytest.raises(DomainError, match="period rank 6 != lattice rank 5"):
+        weyl_canonicalize(make_period([Z] * 7), make_marked_lattice(5))
+
+
+# --- the leaf test of the search ------------------------------------------------
+
+
+def _cartan_tuples(r: int):
+    """Every ordered root tuple with the Gram matrix of the simple coroots."""
+    M = make_marked_lattice(r)
+    roots = [a.vector for a in enumerate_roots(M)]
+    pairs = {(a, b): inner(a, b) for a in roots for b in roots}
+    gram = [[inner(a, b) for b in M.simple_coroots] for a in M.simple_coroots]
+    out = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        k = len(prefix)
+        if k == r:
+            out.append(prefix)
+            continue
+        for b in roots:
+            if all(pairs[b, c] == gram[k][j] for j, c in enumerate(prefix)):
+                stack.append(prefix + (b,))
+    return out
+
+
+def _leaf_test(tup, M):
+    table = _root_table(M.r)
+    index = {t: i for i, t in enumerate(table.coeffs)}
+    return _is_weyl_image(table, [index[b.coeffs()] for b in tup])
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_leaf_row_test_matches_the_full_matrix_on_every_cartan_tuple(r):
+    M = make_marked_lattice(r)
+    tuples = _cartan_tuples(r)
+    images = {t for t in tuples if maps_basis_integrally(t, M)}
+    assert all(_leaf_test(t, M) == (t in images) for t in tuples)
+    # the integral ones are the Weyl images, one per element; the others
+    # come from diagram automorphisms
+    assert len(images) == WEYL_ORDERS[r] < len(tuples)
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_leaf_row_test_matches_the_full_matrix_on_weyl_images(r):
+    # w(alpha), -w(alpha) and, at r = 6, w(alpha) through the E6 diagram
+    # automorphism: -1 is a Weyl element at r = 7, 8 but not at r = 6
+    M = make_marked_lattice(r)
+    rng = random.Random(70 + r)
+    flip = [4, 3, 2, 1, 0, 5]  # alpha_1..alpha_5 reversed, alpha_6 fixed
+    for _ in range(10):
+        word = random_word(rng, r, 20)
+        w = [apply_word(word, a, M) for a in M.simple_coroots]
+        cases = {tuple(w): True, tuple(-b for b in w): r > 6}
+        if r == 6:
+            cases[tuple(w[i] for i in flip)] = False
+        for tup, want in cases.items():
+            assert _leaf_test(tup, M) == maps_basis_integrally(tup, M) == want
