@@ -14,7 +14,7 @@ from operator import add, mul
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .geometry import CurveClass, _line_table
+from .geometry import CurveClass, _class_table, _line_table
 from .lattice import LatticeVector, MarkedLattice, _coeffs, _dual_row, _vector, _vector_of, closure
 from .roots import DynkinType, Root, dynkin_type
 
@@ -75,8 +75,9 @@ def orbit_decomposition(
     G_j row j of the curves' Gram matrix.  So the orbit of x is {x + s} for
     shifts s that depend on m alone: the memo `shapes` lists them, sorted
     (so x + s is too), once per m, by a breadth-first closure
-    (lattice.closure) on tuples (m, s) from (m, 0).  Members given in
-    `weights` come back as passed; only those the closure adds are wrapped.
+    (lattice.closure) on tuples (m, s) from (m, 0).  Each member is popped
+    once from `left`, the given tuples in no orbit yet: given members come
+    back as passed (a repeated class as passed last), the rest are wrapped.
     A class pairing non-zero with two independent curves has three or more
     images, so a size-2 orbit is {x, x + m_j c_j}: a pair iff max |m| = 1.
     """
@@ -88,28 +89,25 @@ def orbit_decomposition(
         return [tuple(map(add, x, map(mul, repeat(p), step))) for step, p in zip(steps, x) if p]
 
     given = {_coeffs(w, lattice): w for w in weights}
+    left = dict(given)
     k, zero = len(gens), (0,) * (lattice.r + 1)
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    seen: set[tuple[int, ...]] = set()
     orbits = []
     for v in given:
-        if v not in seen:
+        if v in left:
             m = tuple(sum(map(mul, v, d)) for d in duals)
             if (shape := shapes.get(m)) is None:
                 shape = shapes[m] = sorted(x[k:] for x in closure(m + zero, images))
-            orbits.append((orb := [tuple(map(add, v, s)) for s in shape], m))
-            seen.update(orb)
-    if len(seen) > len(given):
-        given.update((t, _vector(t)) for t in seen.difference(given))
+            orb = [tuple(map(add, v, s)) for s in shape]
+            orbits.append((orb[0], m, tuple(left.pop(t, None) or _vector(t) for t in orb)))
     parts = []
-    for orb, m in sorted(orbits):  # disjoint orbits: ordered by least member
-        if len(orb) == 1:
+    for _, m, members in sorted(orbits):  # disjoint orbits: least tuples differ
+        if len(members) == 1:
             label = "singleton"
-        elif len(orb) == 2 and max(map(abs, m)) == 1:
+        elif len(members) == 2 and max(map(abs, m)) == 1:
             label = "extension pair"
         else:
             label = "orbit"
-        members = tuple(map(given.__getitem__, orb))
         parts.append(SubOrbit(members[0], members, label))
     return parts
 
@@ -121,12 +119,9 @@ def incident_lines(
 
     These are exactly the classes of lines through the singular points;
     the complement is the fixed-point set of the sub-Weyl action.  Each
-    line of geometry._line_table is paired with each curve's dual row.
+    line of geometry._line_table is paired with each curve's dual row, and
+    the lines handed out are the CurveClass objects of its _class_table.
     """
-    vecs, ts, _ = _line_table(lattice.r)
+    classes, ts = _class_table(lattice.r, -1, 1), _line_table(lattice.r)[1]
     rows = [_dual_row(_coeffs(c.vector, lattice)) for c in config.curves]
-    return [
-        CurveClass(v, -1, 1)
-        for v, t in zip(vecs, ts)
-        if any(sum(map(mul, d, t)) for d in rows)
-    ]
+    return [c for c, t in zip(classes, ts) if any(sum(map(mul, d, t)) for d in rows)]

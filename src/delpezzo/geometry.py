@@ -5,7 +5,8 @@ degree) data; the r = 6 lattice additionally carries the classical
 incidence structures: 45 coplanar triples, 72 sixes, 36 double sixes.
 Each double six is read straight off one positive root rho: its two sixes
 are the lines L with <L, rho> = +1 and those with <L, rho> = -1.
-lines() and the line searches read one lazy table per rank, _line_table.
+The line searches read one lazy table per rank, _line_table; lines() and
+conics() read lazy per-rank tables of CurveClass objects, _class_table.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def enumerate_classes(lattice: MarkedLattice, self_int: int, deg: int) -> list[C
     pair raises DomainError; vectors_of_type lists vectors of any type.
     """
     _check_adjunction(self_int, deg)
-    return [
-        CurveClass(v, self_int, deg) for v in vectors_of_type(lattice, self_int, deg)
-    ]
+    vecs = vectors_of_type(lattice, self_int, deg)  # refuses non-int types
+    self_int, deg = int(self_int), int(deg)  # a bool is stored as the int it counts as
+    return [CurveClass(v, self_int, deg) for v in vecs]
 
 
 def _check_adjunction(self_int: int, deg: int) -> None:
@@ -76,12 +77,21 @@ def _check_adjunction(self_int: int, deg: int) -> None:
 
 
 def lines(lattice: MarkedLattice) -> list[CurveClass]:
-    """Classes of lines: self-intersection -1, degree 1, read from _line_table."""
-    return [CurveClass(v, -1, 1) for v in _line_table(lattice.r)[0]]
+    """Classes of lines: self-intersection -1, degree 1, read from _class_table."""
+    return list(_class_table(lattice.r, -1, 1))
 
 
 def conics(lattice: MarkedLattice) -> list[CurveClass]:
-    return enumerate_classes(lattice, 0, 2)
+    """Classes of conics: self-intersection 0, degree 2, read from _class_table."""
+    return list(_class_table(lattice.r, 0, 2))
+
+
+@lru_cache(maxsize=None)
+def _class_table(r: int, self_int: int, deg: int) -> tuple[CurveClass, ...]:
+    """The rank-r lines (-1, 1) or conics (0, 2) in increasing order, keyed
+    on ints like _line_table, whose vectors the lines wrap."""
+    vecs = _line_table(r)[0] if deg == 1 else map(_vector, _tuples_of_type(r, self_int, deg))
+    return tuple(CurveClass(v, self_int, deg) for v in vecs)
 
 
 def coplanar_triples(lattice: MarkedLattice) -> list[frozenset[LatticeVector]]:
@@ -119,6 +129,7 @@ def _line_table(r: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     tuples, and masks: bit j of later[i] is set when j > i and lines i and
     j are disjoint.  Keyed on the int r, since hashing a lattice hashes
     its vectors; it holds only tuples, so every list handed out is fresh.
+    It is the one source of line vectors, which _class_table wraps.
     """
     ts = tuple(_tuples_of_type(r, -1, 1))
     later = tuple(

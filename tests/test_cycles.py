@@ -5,8 +5,8 @@ reference counting alone.
 makes no reference cycles, and a list of sets or tuples held in a cycle
 (say, by a recursive closure whose cell also holds the output) lives until
 the next full collection.  Each builder runs once to fill the per-process
-caches (the CLI parser, the line tables), then again with the collector
-off; after its result is dropped, a collection must find nothing.
+caches (the CLI parser, the line and class tables), then again with the
+collector off; after its result is dropped, a collection must find nothing.
 """
 
 import gc
@@ -16,6 +16,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from delpezzo import (
+    conics,
     disjoint_line_sets,
     dual_basis_lifts,
     lines,
@@ -53,6 +54,16 @@ def _decomposition():
     return orbit_decomposition(make_configuration([M.e(1) - M.e(2)], M), vecs, M)
 
 
+def _partial_conic_decomposition():
+    # every other r = 8 conic: the closure wraps the orbit members not passed
+    M = make_marked_lattice(8)
+    vecs = [c.vector for c in conics(M)][::2]
+    cfg = make_configuration([M.e(1) - M.e(2), M.e(2) - M.e(3), M.h - M.e(4) - M.e(5) - M.e(6)], M)
+    parts = orbit_decomposition(cfg, vecs, M)
+    assert sum(p.size for p in parts) > len(vecs)
+    return parts
+
+
 BUILDERS = {
     "orbit-E8-w2": lambda: orbit(dual_basis_lifts(make_marked_lattice(8))[1], make_marked_lattice(8)),
     "orbit_of_set": lambda: orbit_of_set(
@@ -61,6 +72,8 @@ BUILDERS = {
     "disjoint_line_sets-7-3": lambda: disjoint_line_sets(make_marked_lattice(7), 3),
     "disjoint_line_sets-8-2": lambda: disjoint_line_sets(make_marked_lattice(8), 2),
     "orbit_decomposition": _decomposition,
+    "orbit_decomposition-conics-8-partial": _partial_conic_decomposition,
+    "conics-8": lambda: conics(make_marked_lattice(8)),
     "vectors_of_type": lambda: vectors_of_type(make_marked_lattice(8), 1, 3),
     "_texts_of_type": lambda: _texts_of_type(8, 1, 3),
     "cli-sixes-r7": _sixes_report,

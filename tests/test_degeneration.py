@@ -277,8 +277,10 @@ def test_decomposition_rejects_inexact_or_misranked_weights():
         LatticeVector(1.5, (0,) * 6)
     for curves in ([], [M.e(1) - M.e(2)]):
         cfg = make_configuration(curves, M)
-        with pytest.raises(DomainError):
-            orbit_decomposition(cfg, [M.e(1), LatticeVector(1, (0,) * 5)], M)
+        # the first misranked weight in input order is the one named
+        weights = [M.e(1), LatticeVector(1, (0,) * 5), LatticeVector(1, (0,) * 4)]
+        with pytest.raises(DomainError, match=r"^rank mismatch: 5 vs 6$"):
+            orbit_decomposition(cfg, weights, M)
 
 
 def _span_coefficients(diff, curves):
@@ -373,9 +375,21 @@ def test_duplicate_weights():
     want = orbit_decomposition(cfg, vecs, M)
     assert [(p.members, p.label) for p in got] == [(p.members, p.label) for p in want]
     assert sum(p.size for p in got) == len(vecs)
+    last = {w: w for w in weights}  # a repeated key keeps its last value
     for p in got:
         for v in p.members:
-            assert any(v is w for w in weights)
+            assert v is last[v]  # a repeated class comes back as passed last
+
+
+def test_weights_may_be_a_one_shot_generator():
+    M = make_marked_lattice(7)
+    cfg = make_configuration([M.e(1) - M.e(2), M.e(3) - M.e(4)], M)
+    vecs = _line_vectors(M)
+    got = orbit_decomposition(cfg, (v for v in vecs), M)
+    want = orbit_decomposition(cfg, vecs, M)
+    assert [(p.members, p.label) for p in got] == [(p.members, p.label) for p in want]
+    for p, q in zip(got, want):
+        assert all(a is b for a, b in zip(p.members, q.members))
 
 
 def test_one_closure_per_distinct_start_pairing_tuple(monkeypatch):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from delpezzo import (
 )
 from delpezzo.geometry import (
     _check_double_six,
+    _class_table,
     _disjoint_sets,
     _line_table,
     _triples_summing_to,
@@ -84,6 +89,23 @@ def test_conics_r6():
     assert len(got) == 27
     # same 27 as the orbit of the first dual basis lift h - e1
     assert [c.vector for c in got] == orbit(dual_basis_lifts(M)[0], M)
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_class_tables_match_the_walk(r):
+    M = make_marked_lattice(r)
+    assert conics(M) == enumerate_classes(M, 0, 2)
+    assert lines(M) == enumerate_classes(M, -1, 1)
+    assert [c.vector for c in lines(M)] == list(_line_table(r)[0])
+    assert all(a.vector is b for a, b in zip(lines(M), _line_table(r)[0]))
+
+
+def test_enumerate_classes_stores_ints():
+    M = make_marked_lattice(4)
+    for self_int, deg in [(True, 3), (False, 2)]:
+        got = enumerate_classes(M, self_int, deg)
+        assert got == enumerate_classes(M, int(self_int), int(deg))
+        assert {(type(c.self_int), type(c.degree)) for c in got} == {(int, int)}
 
 
 def test_adjunction_guard():
@@ -192,6 +214,8 @@ def test_line_table_holds_only_tuples():
     # the lists handed out are fresh, so mutating one changes no later call
     vecs, ts, later = _line_table(6)
     assert all(type(x) is tuple for x in (vecs, ts, later))
+    tables = _class_table(6, -1, 1), _class_table(6, 0, 2)
+    assert all(type(x) is tuple for x in tables)
     M = make_marked_lattice(6)
     sets = disjoint_line_sets(M, 2)
     want = list(sets)
@@ -202,11 +226,33 @@ def test_line_table_holds_only_tuples():
     want = list(moved)
     moved.pop()
     assert incident_lines(cfg, M) == want
-    found = lines(M)
-    want = list(found)
-    found.clear()
-    assert lines(M) == want
+    # incident_lines hands out the table's CurveClass objects
+    table = {id(c) for c in tables[0]}
+    assert all(id(c) in table for c in want)
+    for listed in (lines, conics):
+        found = listed(M)
+        want = list(found)
+        found.clear()
+        assert listed(M) == want
     assert _line_table(6) == (vecs, ts, later)
+    assert (_class_table(6, -1, 1), _class_table(6, 0, 2)) == tables
+
+
+def test_import_and_lattices_build_no_table():
+    # the benchmark's setup: a fresh interpreter imports the package and
+    # builds every marked lattice; the per-rank tables wait for first use
+    code = (
+        "import delpezzo, delpezzo.cli\n"
+        "from delpezzo.geometry import _class_table, _line_table\n"
+        "for r in range(3, 9): delpezzo.make_marked_lattice(r)\n"
+        "print(_line_table.cache_info().currsize, _class_table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 0\n"
 
 
 @pytest.mark.parametrize("r,weyl_order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])
