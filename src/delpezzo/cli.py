@@ -261,17 +261,20 @@ def _render_value(value) -> str:
     return str(value)
 
 
+# the bytes json.dumps copies as they stand: printable ASCII but '"' and '\\'
+_JSON_VERBATIM = bytes(b for b in range(32, 127) if b not in b'"\\')
+
+
 def _plain(items: list) -> bool:
     """Whether items is a non-empty list of str that json copies as it
     stands: printable ASCII with no '"' and no backslash, the only text
-    ensure_ascii leaves unescaped."""
+    ensure_ascii leaves unescaped.  Deleting those bytes from the ASCII
+    text must leave nothing."""
     try:
         text = "".join(items)
     except TypeError:  # a dict or list item
         return False
-    return bool(items) and text.isascii() and text.isprintable() and not (
-        '"' in text or "\\" in text
-    )
+    return bool(items) and text.isascii() and not text.encode().translate(None, _JSON_VERBATIM)
 
 
 def _write(head: dict, items: list, rest: dict, fmt: str) -> None:

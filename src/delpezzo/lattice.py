@@ -15,11 +15,13 @@ vector, by _vectors.
 
 Vectors of a given type come from one generator, _walk, which yields
 them in lexicographic order without holding them: a depth-first walk
-over prefixes down to three free coordinates, then the tails of those,
-memoized for the call.  It joins per-slot pieces, so one walk gives the
-int tuples (a, c_1, ..., c_r) of _tuples_of_type, which vectors_of_type
-wraps at the library boundary, and the text of _texts_of_type, which the
-CLI prints with no tuple built.
+over prefixes down to four free coordinates, then the groups of those
+four, which reference the tails of the last three.  Groups and tails are
+memoized for the call, and the groups are filled before the first
+output.  The walk joins per-slot pieces, so it gives the int tuples
+(a, c_1, ..., c_r) of _tuples_of_type, which vectors_of_type wraps at
+the library boundary, and the text of _texts_of_type, which the CLI
+prints with no tuple built.
 """
 
 from __future__ import annotations
@@ -511,6 +513,22 @@ def _tuples_of_type(r: int, norm: int, deg: int) -> Iterator[tuple[int, ...]]:
     return _walk(r, norm, deg, [singletons] * (r + 1))
 
 
+def _children(k: int, s: int, q: int) -> range:
+    """The values c of the next of k free slots, in decreasing order, that
+    leave k - 1 slots with sum s - c and square sum q - c^2 inside
+    Cauchy-Schwarz: |k c - s| <= sqrt((k - 1)(k q - s^2))."""
+    m = isqrt((k - 1) * (k * q - s * s))
+    return range((s + m) // k, (s - m - 1) // k, -1)
+
+
+def _four_slot_states(r: int, level: set) -> set:
+    """The distinct (s, q) of the walk's nodes at four free slots, from
+    those of its nodes at r."""
+    for k in range(r, 4, -1):
+        level = {(s - c, q - c * c) for s, q in level for c in _children(k, s, q)}
+    return level
+
+
 def _walk(r: int, norm: int, deg: int, pieces: list[dict]) -> Iterator:
     """pieces[0][a] + pieces[1][c_1] + ... + pieces[r][c_r] for every
     (a, c_1, ..., c_r) of the type, r >= 3, in lexicographic order of the
@@ -521,15 +539,29 @@ def _walk(r: int, norm: int, deg: int, pieces: list[dict]) -> Iterator:
     after the prefix must sum to s with squares summing to q.  They exist
     only if s - q is even, which is norm + deg mod 2 at every node (a^2 + 3a
     and c^2 - c are even), so it is tested on the heights alone, and if
-    s^2 <= k q (Cauchy-Schwarz); for the child c that reads
-    |k c - s| <= sqrt((k - 1)(k q - s^2)).  Children are pushed in
-    decreasing c, so they pop in order.
+    s^2 <= k q (Cauchy-Schwarz), which _children keeps for every child.
+    Children are pushed in decreasing c, so they pop in order.
 
-    At k = 3 the prefix is joined to each tail, the joined pieces of the
-    last three slots.  The tails depend only on (s, q), which repeat
-    across prefixes, so tails() keeps them in a memo that lives for this
-    call.  Within a tail the last pair is solved in closed form: c + d = s
-    and c^2 + d^2 = q give (d - c)^2 = 2q - s^2 = t^2 and c = (s - t)/2,
+    The stack stops at k = 4; r = 3 starts at k = 3 and joins its tails
+    directly.  A four-slot node reads the group of its (s, q): the pieces
+    c of the fourth-from-last slot, in increasing c, each followed by
+    tails(s - c, q - c^2), the joined pieces of the last three slots; it
+    yields prefix + piece + tail from two plain loops.  Tails and groups
+    depend only on (s, q), which repeat across prefixes (the 82,560 classes
+    of (8, 2, 4) have 166 four-slot states), so each has a memo that lives
+    for this call.  A group holds references to pieces and to the shared
+    tails, stored flat as (piece, tails, piece, tails, ...), and no joined
+    four-slot piece: joined four-slot tails took the peak of the (8, 2, 4)
+    walk to ~300 kB, past its memory test's 100 kB.
+
+    Every group is filled before the first output, from the distinct
+    (s, q) of each level.  Filled between outputs, the memo's tuples sat in
+    the pymalloc arenas of the output; freed to the tuple free lists when
+    the walk ended, they kept those arenas, ~5 MB of RSS after the
+    (8, 2, 4) list was dropped.
+
+    Within a tail the last pair is solved in closed form: c + d = s and
+    c^2 + d^2 = q give (d - c)^2 = 2q - s^2 = t^2 and c = (s - t)/2,
     integral whenever t is.
     """
     memo = {}
@@ -558,15 +590,28 @@ def _walk(r: int, norm: int, deg: int, pieces: list[dict]) -> Iterator:
         s, q = deg - 3 * a, a * a - norm
         if s * s <= r * q and (s - q) % 2 == 0:
             stack.append((pieces[0][a], r, s, q))
+    groups = {}  # filled before the first output; see the docstring
+    if r > 3:
+        fourth = pieces[r - 3]
+        for s, q in _four_slot_states(r, {(s, q) for _, _, s, q in stack}):
+            group = []
+            for c in reversed(_children(4, s, q)):
+                tail = tails(s - c, q - c * c)
+                if tail:
+                    group += (fourth[c], tail)
+            groups[s, q] = tuple(group)
     while stack:
         prefix, k, s, q = stack.pop()
-        # memoizing four-coordinate tails instead took the peak of the
-        # (8, 2, 4) walk to ~300 kB, past its memory test's 100 kB
-        if k > 3:
+        if k > 4:
             piece = pieces[r + 1 - k]
-            m = isqrt((k - 1) * (k * q - s * s))
-            for c in range((s + m) // k, (s - m - 1) // k, -1):
+            for c in _children(k, s, q):
                 stack.append((prefix + piece[c], k - 1, s - c, q - c * c))
-            continue
-        for t in tails(s, q):
-            yield prefix + t
+        elif k == 3:
+            for t in tails(s, q):
+                yield prefix + t
+        else:
+            it = iter(groups[s, q])
+            for piece, tail in zip(it, it):
+                head = prefix + piece
+                for t in tail:
+                    yield head + t

@@ -11,7 +11,7 @@ from delpezzo import (
     format_vector,
     make_marked_lattice,
 )
-from delpezzo.cli import _write, build_parser, run
+from delpezzo.cli import _plain, _write, build_parser, run
 
 from helpers import (
     INT_DIGIT_LIMIT,
@@ -486,3 +486,43 @@ def test_writer_matches_json_dumps_and_the_per_item_table(name, capsys):
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
     _write(head, report["items"], rest, "table")
     assert capsys.readouterr().out == render_table(report)
+
+
+def _printable_scan(items) -> bool:
+    """cli._plain's predicate by isprintable() and two scans for '"' and '\\'."""
+    try:
+        text = "".join(items)
+    except TypeError:
+        return False
+    return bool(items) and text.isascii() and text.isprintable() and not (
+        '"' in text or "\\" in text
+    )
+
+
+PLAIN_CASES = {
+    "quote": (['h-e1', 'e"2'], False),
+    "backslash": (["e1", "\\"], False),
+    "delete": (["e1\x7f"], False),
+    "nul": (["\x00"], False),
+    "newline": (["e1\ne2"], False),
+    "tab": (["\t"], False),
+    "space": (["h e1"], True),
+    "tilde": (["~"], True),
+    "e-acute": (["é"], False),
+    "no items": ([], False),
+    "one empty item": ([""], True),
+    "a dict item": (["e1", {"index": 1}], False),
+    "line texts": (["h-e1-e2", "2h-e1-e2-e3-e4-e5", "e8"], True),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_CASES)
+def test_plain_matches_the_printable_scan(name):
+    items, want = PLAIN_CASES[name]
+    assert _plain(items) == _printable_scan(items) == want
+
+
+def test_plain_matches_the_printable_scan_on_every_latin1_char():
+    for c in map(chr, range(256)):
+        for items in ([c], ["h-e1", "e2" + c]):
+            assert _plain(items) == _printable_scan(items), repr(c)

@@ -29,7 +29,7 @@ from delpezzo import (
     weyl_canonicalize,
 )
 from delpezzo.cli import run
-from delpezzo.lattice import _texts_of_type
+from delpezzo.lattice import _symbols, _term, _texts_of_type, _values, _walk
 from helpers import GENERIC_ASSIGNS, period_of_assigns
 
 
@@ -64,6 +64,16 @@ def _partial_conic_decomposition():
     return parts
 
 
+def _half_consumed_walk():
+    # a text walk dropped after a few classes, with its memo of tails, its
+    # groups, the tails closure and the stack still live in its frame
+    pieces = [{c: _term(c, sym) for c in _values(8, 2, 4)} for sym in _symbols(8)]
+    walk = _walk(8, 2, 4, pieces)
+    for _ in range(1000):
+        next(walk)
+    return walk
+
+
 BUILDERS = {
     "orbit-E8-w2": lambda: orbit(dual_basis_lifts(make_marked_lattice(8))[1], make_marked_lattice(8)),
     "orbit_of_set": lambda: orbit_of_set(
@@ -76,6 +86,7 @@ BUILDERS = {
     "conics-8": lambda: conics(make_marked_lattice(8)),
     "vectors_of_type": lambda: vectors_of_type(make_marked_lattice(8), 1, 3),
     "_texts_of_type": lambda: _texts_of_type(8, 1, 3),
+    "_walk-half-consumed": _half_consumed_walk,
     "cli-sixes-r7": _sixes_report,
     "weyl_canonicalize-generic-r7": _canonical_form,
     "cli-period-canonical-r7": _period_report,

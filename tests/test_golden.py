@@ -125,6 +125,12 @@ LARGE_REPORT_SHA256 = {
         "b09f4f8fbe754c236663d1e3942e6a3fbd587c860f37bf5b8a7aaed0ce593ef9",
     ("classes", "--r", "8", "--self-int", "2", "--degree", "4", "json"):
         "9dd2b96f7abbdee063372db7a2e711f2e8e012677539faee00ed38249931315d",
+    # 319,680 classes, the type whose four-slot states repeat most; recorded
+    # while the type walk still joined each prefix to three-slot tails
+    ("classes", "--r", "8", "--self-int", "3", "--degree", "5", "table"):
+        "71863accb33d36a238f2862d12d9f9a0ca250471aa92e3b144e82bf4ab84ae52",
+    ("classes", "--r", "8", "--self-int", "3", "--degree", "5", "json"):
+        "90ea6fcf0d51106c6b18acfc654581257fdb3e6ea1860ff010e001b3d43d3e36",
     ("lines", "--r", "8", "table"):
         "f56d36d9dde151c563cf0e55c33d5b0d28a65fb7d5067646cbee765a1b121dd4",
     ("lines", "--r", "8", "json"):

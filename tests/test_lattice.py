@@ -490,8 +490,9 @@ def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
 
 def test_tuples_of_type_holds_no_list_of_tuples():
     # (8, 2, 4) has 82,560 tuples, a megabyte or more if they are held;
-    # the walk holds its stack of prefixes and the memo of tails of the
-    # last three coordinates
+    # the walk holds its stack of prefixes, the memo of tails of the last
+    # three coordinates and the 166 groups of the last four, which hold
+    # references to pieces and tails, no joined tuple
     tracemalloc.start()
     try:
         for _ in _tuples_of_type(8, 2, 4):
@@ -521,10 +522,11 @@ def _held_bytes(obj) -> int:
 def test_text_walk_holds_tails_not_the_output():
     # (8, 5, 7) has 2,877,120 classes, over 200 MB as a list of strings;
     # consumed lazily, the walk over term pieces holds the pieces, its
-    # stack and the memo of three-coordinate tails, under 1 MB.  Measured
-    # without tracemalloc, which slows the walk 15-20x: the live blocks the
-    # walk adds, sampled every 4,096 classes, would grow by one a class if
-    # it kept them (a class text is a str of 56 bytes or more, so 1 MB of
+    # stack, the memo of three-coordinate tails and the four-coordinate
+    # groups that reference them, under 1 MB.  Measured without
+    # tracemalloc, which slows the walk 15-20x: the live blocks the walk
+    # adds, sampled every 4,096 classes, would grow by one a class if it
+    # kept them (a class text is a str of 56 bytes or more, so 1 MB of
     # them is 17,857 blocks), and a few times the bytes its frame reaches
     # are summed, which a single string grown in place would also show
     pieces = [{c: _term(c, sym) for c in _values(8, 5, 7)} for sym in _symbols(8)]
