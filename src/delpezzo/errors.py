@@ -48,7 +48,10 @@ class OrbitCapError(LatticeError, RuntimeError):
     `partial_count` is the limit of the one cap rule, lattice._cap_limit:
     `cap` elements, and at least one.  `lattice.closure` raises it when a
     new element turns up at the limit, `weyl.orbit` before any search when
-    the predicted orbit size |W|/|W_J| is over it.
+    the predicted orbit size |W|/|W_J| is over it, `weyl.orbit_of_set`
+    before any listing when a member orbit is over k times it (k distinct
+    members), and `period.weyl_canonicalize` when its search would expand
+    one prefix more than the limit.
     """
 
     def __init__(self, cap: int, partial_count: int):

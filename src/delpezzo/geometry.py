@@ -23,6 +23,7 @@ from .lattice import (
     _coeffs,
     _dual_row,
     _form,
+    _pairing_masks,
     _tuples_of_type,
     _vector,
     _vector_of,
@@ -127,15 +128,14 @@ def _triples_summing_to(
 def _line_table(r: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     """The rank-r lines in increasing order, as vectors and as coefficient
     tuples, and masks: bit j of later[i] is set when j > i and lines i and
-    j are disjoint.  Keyed on the int r, since hashing a lattice hashes
+    j are disjoint, the pairing 0 masks of lattice._pairing_masks with the
+    bits <= i cleared.  Keyed on the int r, since hashing a lattice hashes
     its vectors; it holds only tuples, so every list handed out is fresh.
     It is the one source of line vectors, which _class_table wraps.
     """
     ts = tuple(_tuples_of_type(r, -1, 1))
-    later = tuple(
-        sum(1 << j for j, u in enumerate(ts[i + 1 :], i + 1) if not sum(map(mul, d, u)))
-        for i, d in enumerate(map(_dual_row, ts))
-    )
+    (disjoint,) = _pairing_masks(ts, (0,))
+    later = tuple(m >> i + 1 << i + 1 for i, m in enumerate(disjoint))
     return tuple(map(_vector, ts)), ts, later
 
 

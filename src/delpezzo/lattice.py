@@ -208,6 +208,23 @@ def _dual_row(t: tuple[int, ...]) -> tuple[int, ...]:
     return (t[0], *map(neg, t[1:]))
 
 
+def _pairing_masks(ts: tuple, *values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For each value set, the int masks of the members of the table `ts`:
+    bit j of the i-th mask is set when _form(ts[i], ts[j]) is in the set.
+
+    Coordinate c of the members is packed one byte each into P_c, so with
+    d the dual row of member i, byte j of sum_c d_c P_c + 128 sum_j 256^j
+    is its pairing with member j plus 128 (coefficients and pairings lie in
+    -128..127).  A mask is read off those bytes by one translate to '0'
+    and '1' digits and one int(.., 2), with no Python step per pair.
+    """
+    bias = int.from_bytes(b"\x80" * len(ts), "big")
+    cols = [int.from_bytes(bytes(x + 128 for x in col), "big") - bias for col in zip(*ts[::-1])]
+    rows = [(sum(map(mul, d, cols)) + bias).to_bytes(len(ts), "big") for d in map(_dual_row, ts)]
+    picks = [bytes(49 if b - 128 in v else 48 for b in range(256)) for v in values]
+    return [tuple(int(row.translate(pick), 2) for row in rows) for pick in picks]
+
+
 def inner(a: LatticeVector, b: LatticeVector) -> int:
     """Intersection product for the diagonal form (1, -1, ..., -1)."""
     _check_same_rank(a, b)
@@ -571,8 +588,7 @@ def _walk(r: int, norm: int, deg: int, pieces: list[dict]) -> Iterator:
         out = memo.get((s, q))
         if out is None:
             out = []
-            m = isqrt(2 * (3 * q - s * s))
-            for c in range((s - m - 1) // 3 + 1, (s + m) // 3 + 1):
+            for c in reversed(_children(3, s, q)):
                 s2, q2 = s - c, q - c * c
                 t_sq = 2 * q2 - s2 * s2
                 t = isqrt(t_sq)

@@ -4,8 +4,9 @@ A period assigns an exact torsion point to each basis vector subject to
 the single relation 3*pi(h) = sum_i pi(e_i) (kappa must die).  The Weyl
 group acts by precomposition; canonicalization picks the lexicographically
 least coroot-value tuple on the orbit.  It searches the ordered simple
-systems (w alpha_1, ..., w alpha_r) value by value on a per-rank table of
-root pairings (_root_table), so no orbit is listed.
+systems (w alpha_1, ..., w alpha_r) by a recursion over groups of tied
+values, least first, on the pairing masks of a per-rank root table
+(_root_table), so no orbit is listed.
 
 The arithmetic runs on one integer kernel of residues.  With N the lcm of
 the denominators of a period's images, the torus value (X/N, Y/N) is its
@@ -21,15 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ConstraintError, DomainError, InternalError, OrbitCapError
 from .lattice import (
     LatticeVector,
     MarkedLattice,
     _cap_limit,
-    _dual_row,
     _form,
+    _pairing_masks,
     _tuples_of_type,
     anticanonical,
     basis_e,
@@ -208,7 +209,12 @@ def weyl_canonicalize(
     vals = [-x % n * n + -y % n for x, y in zip(reversed(vx), reversed(vy))]
     vals += [x * n + y for x, y in zip(vx, vy)]
     killed = sum(1 << i for i, v in enumerate(vals) if not v)
-    least = _least_values(table, vals, killed, cap, limit)
+    try:
+        least = _least_values(table, vals, [((), killed)], iter(range(limit)))
+    except StopIteration:
+        raise OrbitCapError(cap, limit) from None
+    if least is None:
+        raise InternalError("no Weyl image of the simple coroots was reached")
     return _points(tuple(c for v in least for c in divmod(v, n)), n)
 
 
@@ -234,26 +240,11 @@ class _RootTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _root_table(r: int) -> _RootTable:
-    """Built on first use and kept per rank, keyed on the int r.
-
-    The pairings of root i with every root are one integer, sum_c d_c P_c
-    + 2 sum_j 256^j, with d the dual row of root i and P_c the roots'
-    coordinate c packed one byte per root: byte j is their pairing plus 2,
-    in 0..4.  Each mask is read off its bytes by one translate to '0' and
-    '1' digits and one int(.., 2), with no Python step per pair.
-    """
+    """Built on first use and kept per rank, keyed on the int r; zero, one
+    and up are the masks of lattice._pairing_masks for the pairings (0,),
+    (1,) and (1, 2)."""
     ts = tuple(_tuples_of_type(r, -2, 0))
-    ones = int.from_bytes(b"\1" * len(ts), "big")
-    cols = [
-        int.from_bytes(bytes(t[c] + 8 for t in reversed(ts)), "big") - 8 * ones
-        for c in range(r + 1)
-    ]
-    picks = [bytes(49 if b in m else 48 for b in range(256)) for m in ((2,), (3,), (3, 4))]
-    masks = []
-    for d in map(_dual_row, ts):
-        digits = (sum(map(mul, d, cols)) + 2 * ones).to_bytes(len(ts), "big")
-        masks.append([int(digits.translate(pick), 2) for pick in picks])
-    zero, one, up = zip(*masks)
+    zero, one, up = _pairing_masks(ts, (0,), (1,), (1, 2))
     lattice = make_marked_lattice(r)
     alphas = [a.coeffs() for a in lattice.simple_coroots]
     links = tuple(
@@ -277,57 +268,43 @@ def _is_weyl_image(table: _RootTable, leaf: Sequence[int]) -> bool:
     return all((sum(map(mul, table.row, col)) + k) % d == 0 for k, col in zip(table.kappa, cols))
 
 
-def _least_values(
-    table: _RootTable, vals: list[int], killed: int, cap: int, limit: int
-) -> list[int]:
-    """The least (vals[b_1], ..., vals[b_r]) over the leaves (b_1, ..., b_r)
-    that are Weyl images of the simple coroots.
+def _least_values(table: _RootTable, vals: list[int], nodes: list, budget: Iterator) -> list | None:
+    """The least (vals[b_k+1], ..., vals[b_r]) over the leaves (b_1, ...,
+    b_r) below the prefixes (b_1, ..., b_k) of `nodes` that are Weyl images
+    of the simple coroots, or None when there is none.
 
-    A depth-first walk on a stack of value groups, least value last: each
-    group holds every prefix of its values, with the mask of the killed
-    roots orthogonal to it.  A prefix is extended by the roots that pair
-    with it as alpha_k pairs with the alpha_j before it (links), and the
-    children are grouped by value; the least group is walked first, and a
-    group none of whose leaves is a Weyl image (_is_weyl_image) gives way
-    to the next.  The reflections in the killed roots orthogonal to a
-    prefix fix p and the prefix, so children that they move into each
-    other have equal subtrees; only the child in the closed chamber of the
-    lexicographic positive system is kept, the one pairing <= 0 with every
-    positive such root, and a closed chamber meets each orbit once
-    (Humphreys 1.12).  Every expanded prefix counts against `limit`.
+    `nodes` is one value group: prefixes of equal values, each with the
+    mask of the killed roots orthogonal to it.  A prefix is extended by the
+    roots that pair with it as alpha_k pairs with the alpha_j before it
+    (links); the children are grouped by value, and the groups are searched
+    least first, each prefix in a group in the order it was found, down to
+    the leaves, where _is_weyl_image decides.  The reflections in the
+    killed roots orthogonal to a prefix fix p and the prefix, so children
+    that they move into each other have equal subtrees; only the child in
+    the closed chamber of the lexicographic positive system is kept, the
+    one pairing <= 0 with every positive such root, and a closed chamber
+    meets each orbit once (Humphreys 1.12).  Each expanded prefix takes one
+    next(budget), so an exhausted budget raises StopIteration.
     """
-    r = len(table.row)
-    everything = (1 << len(vals)) - 1
-    positive = everything >> len(vals) // 2 << len(vals) // 2
-    expanded = 0
-    path: list[int] = []
-    pending = [[(0, [((), killed)])]]
-    while pending:
-        if not pending[-1]:
-            pending.pop()
-            continue
-        depth = len(pending)
-        value, nodes = pending[-1].pop()
-        del path[depth - 1 :]
-        path.append(value)
-        if depth > r:
-            if any(_is_weyl_image(table, prefix) for prefix, _ in nodes):
-                return path[1:]
-            continue
-        children: dict[int, list] = {}
-        for prefix, free in nodes:
-            if expanded == limit:
-                raise OrbitCapError(cap, limit)
-            expanded += 1
-            cand = everything
-            for j, masks in table.links[depth - 1]:
-                cand &= masks[prefix[j]]
-            free_positive = free & positive
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                b = low.bit_length() - 1
-                if not table.up[b] & free_positive:
-                    children.setdefault(vals[b], []).append((prefix + (b,), free & table.zero[b]))
-        pending.append(sorted(children.items(), reverse=True))
-    raise InternalError("no Weyl image of the simple coroots was reached")
+    k = len(nodes[0][0])
+    if k == len(table.row):
+        return [] if any(_is_weyl_image(table, prefix) for prefix, _ in nodes) else None
+    positive = (1 << len(vals)) - (1 << len(vals) // 2)
+    children: dict[int, list] = {}
+    for prefix, free in nodes:
+        next(budget)
+        cand = (1 << len(vals)) - 1
+        for j, masks in table.links[k]:
+            cand &= masks[prefix[j]]
+        free_positive = free & positive
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            b = low.bit_length() - 1
+            if not table.up[b] & free_positive:
+                children.setdefault(vals[b], []).append((prefix + (b,), free & table.zero[b]))
+    for value, group in sorted(children.items()):
+        rest = _least_values(table, vals, group, budget)
+        if rest is not None:
+            return [value, *rest]
+    return None

@@ -41,6 +41,7 @@ from delpezzo import (
 )
 from delpezzo.lattice import (
     _form,
+    _pairing_masks,
     _symbols,
     _term,
     _texts_of_type,
@@ -486,6 +487,19 @@ def test_coeff_solutions_match_the_recursive_oracle_on_a_grid():
         (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1)
     ]
     assert _texts_of_type(3, -1, 1) == ["e3", "e2", "e1", "h-e1-e2", "h-e1-e3", "h-e2-e3"]
+
+
+@pytest.mark.parametrize("r", RANKS)
+@pytest.mark.parametrize("norm, deg", [(-2, 0), (-1, 1)])  # roots, lines
+def test_pairing_masks_match_inner(r, norm, deg):
+    vecs = vectors_of_type(make_marked_lattice(r), norm, deg)
+    values = (0,), (1,), (1, 2)
+    masks = _pairing_masks(tuple(v.coeffs() for v in vecs), *values)
+    assert len(masks) == len(values)
+    for i, a in enumerate(vecs):
+        pairs = [inner(a, b) for b in vecs]
+        for v, m in zip(values, masks):
+            assert m[i] == sum(1 << j for j, x in enumerate(pairs) if x in v), (r, a, v)
 
 
 def test_tuples_of_type_holds_no_list_of_tuples():

@@ -28,6 +28,7 @@ from delpezzo import (
 from delpezzo.lattice import _cap_limit
 from delpezzo.period import _is_weyl_image, _root_table
 from helpers import (
+    GENERIC_ASSIGNS,
     INT_DIGIT_LIMIT,
     WEYL_ORDERS,
     bfs_canonicalize,
@@ -35,6 +36,7 @@ from helpers import (
     coroot_residue_orbit,
     maps_basis_integrally,
     needs_int_digit_limit,
+    period_of_assigns,
     random_vector,
     random_word,
     residue_bfs_canonicalize,
@@ -369,6 +371,44 @@ def test_canonicalize_cap_boundary_matches_oracle():
     assert least <= size
     for cap, out in zip(caps, outcomes):
         assert out == (("cap", cap, _cap_limit(cap)) if cap < least else want)
+
+
+def _pinned_period(family: str, r: int) -> PeriodHomomorphism:
+    if family == "generic":
+        return period_of_assigns(GENERIC_ASSIGNS[r])
+    if family == "zero":
+        return make_period([Z] * (r + 1))
+    return make_period([Z, HALF] + [Z] * (r - 2) + [HALF])  # half-points on e1, e_r
+
+
+@pytest.mark.parametrize(
+    "family,r,least",
+    [("generic", 7, 8), ("generic", 8, 9)]
+    + [("zero", r, least) for r, least in zip(range(5, 9), (7, 8, 8, 9))]
+    + [("half", r, least) for r, least in zip(range(5, 9), (14, 11, 10, 11))],
+)
+def test_canonicalize_least_answering_cap_is_pinned(family, r, least):
+    # The number of prefixes the search expands before it answers: a search
+    # that takes the value groups out of order or expands a prefix twice
+    # moves it.  The prefixes of one group are all expanded before any of
+    # their children, so their order within the group does not.
+    M = make_marked_lattice(r)
+    period = _pinned_period(family, r)
+    for cap in range(1, least):
+        with pytest.raises(OrbitCapError):
+            weyl_canonicalize(period, M, cap=cap)
+    assert weyl_canonicalize(period, M, cap=least) == weyl_canonicalize(period, M)
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_root_table_masks_match_inner(r):
+    table = _root_table(r)
+    roots = sorted(a.vector for a in enumerate_roots(make_marked_lattice(r)))
+    assert table.coeffs == tuple(a.coeffs() for a in roots)
+    for i, a in enumerate(roots):
+        pairs = [inner(a, b) for b in roots]
+        for mask, v in ((table.zero, (0,)), (table.one, (1,)), (table.up, (1, 2))):
+            assert mask[i] == sum(1 << j for j, x in enumerate(pairs) if x in v), (r, a, v)
 
 
 def test_every_capped_search_defaults_to_the_orbit_cap():
