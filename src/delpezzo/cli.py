@@ -7,6 +7,10 @@ report is byte for byte json.dumps(report, indent=2) and a newline.  One
 writer prints both formats as a head, the items, then a tail, and joins
 items that are all str in one call.
 
+The texts of the roots, lines and conics of a rank are walked once per
+process (_fixed_texts), which pays only for repeated calls of run; a
+classes report of any other type walks it on each call.
+
 Exit codes: 0 success, 2 domain/configuration errors (including vector
 parse errors and numbers longer than str() prints), 3 resource caps.
 """
@@ -41,7 +45,6 @@ from .lattice import (
     parse_vector,
 )
 from .period import TorsionPoint, make_period, restrict_to_coroots, weyl_canonicalize
-from .roots import enumerate_roots, positive_roots
 from .weights import (
     adjoint_weight_system,
     central_character,
@@ -71,19 +74,32 @@ def _orbit_cap() -> int:
 # --- handlers ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # built on first use; only for the types below
+def _fixed_texts(r: int, norm: int, deg: int) -> tuple[str, ...]:
+    return tuple(_texts_of_type(r, norm, deg))
+
+
+_TABLED = {(-2, 0), (-1, 1), (0, 2)}  # roots, lines, conics: at most 2,160 a rank
+
+
 def _handle_roots(args, lattice):
-    found = positive_roots(lattice) if args.positive else enumerate_roots(lattice)
-    return {"positive": bool(args.positive)}, {}, [str(root.vector) for root in found], {}
+    texts = _fixed_texts(lattice.r, -2, 0)  # sorted: the positive roots are its upper half
+    found = texts[len(texts) // 2 :] if args.positive else texts
+    return {"positive": bool(args.positive)}, {}, list(found), {}
 
 
 def _handle_lines(args, lattice):
-    return {}, {}, _texts_of_type(lattice.r, -1, 1), {}
+    return {}, {}, list(_fixed_texts(lattice.r, -1, 1)), {}
 
 
 def _handle_classes(args, lattice):
-    _check_adjunction(args.self_int, args.degree)
-    query = {"self_int": args.self_int, "degree": args.degree}
-    return query, {}, _texts_of_type(lattice.r, args.self_int, args.degree), {}
+    norm, deg = args.self_int, args.degree
+    _check_adjunction(norm, deg)
+    if (norm, deg) in _TABLED:
+        items = list(_fixed_texts(lattice.r, norm, deg))
+    else:
+        items = _texts_of_type(lattice.r, norm, deg)
+    return {"self_int": norm, "degree": deg}, {}, items, {}
 
 
 def _handle_triples(args, lattice):
@@ -98,7 +114,7 @@ def _handle_sixes(args, lattice):
             for a, b in double_sixes(lattice)
         ]
         return {"double": True}, {"sixes": 2 * len(items)}, items, {}
-    items = list(map(sorted, _disjoint_sets(lattice.r, 6, _texts_of_type(lattice.r, -1, 1))))
+    items = list(map(sorted, _disjoint_sets(lattice.r, 6, _fixed_texts(lattice.r, -1, 1))))
     return {"double": False}, {}, items, {}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalError
@@ -113,14 +113,19 @@ def _triples_summing_to(
 
     `vecs` must be sorted: each triple a < b < c is found once, from its two
     least members, so the triples come out ordered by their sorted members.
+    The completion total - a - b is built and looked up as a coefficient
+    tuple; c > b is its index k > j in the sorted members.
     """
-    vset = set(vecs)
+    ts = [v.coeffs() for v in vecs]
+    index = {t: k for k, t in enumerate(ts)}
+    s = total.coeffs()
     triples = []
-    for i, a in enumerate(vecs):
-        for b in vecs[i + 1 :]:
-            c = total - a - b
-            if c > b and c in vset:
-                triples.append(frozenset((a, b, c)))
+    for i, a in enumerate(ts):
+        rest = tuple(map(sub, s, a))
+        for j in range(i + 1, len(ts)):
+            k = index.get(tuple(map(sub, rest, ts[j])), -1)
+            if k > j:
+                triples.append(frozenset((vecs[i], vecs[j], vecs[k])))
     return triples
 
 

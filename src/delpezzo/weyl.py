@@ -21,9 +21,9 @@ through a table of each index's simple reflections.
 from __future__ import annotations
 
 import gc
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, groupby, repeat
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, OrbitCapError
@@ -312,13 +312,22 @@ def dominant_representative(
 
 def word_matrix(word: Iterable[int], lattice: MarkedLattice) -> tuple[tuple[int, ...], ...]:
     """Matrix of a word in the basis (h, e_1, ..., e_r); column j is the
-    image of the j-th basis vector."""
+    image of the j-th basis vector.  Each letter acts on every column at
+    once, as _reflect does on one: s_i (i < r) swaps rows i and i + 1, and
+    s_r adds m = R_0 + R_1 + R_2 + R_3 to row 0 and subtracts it from rows
+    1..3."""
     word = tuple(word)
     for i in word:
         _check_index(i, lattice)
     n = lattice.r + 1
-    units = (tuple(int(i == j) for i in range(n)) for j in range(n))
-    return tuple(zip(*(reduce(_reflect, word, t) for t in units)))
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for i in word:
+        if i < lattice.r:
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        else:
+            m = [a + b + c + d for a, b, c, d in zip(*rows[:4])]
+            rows[:4] = [tuple(map(op, row, m)) for op, row in zip((add, sub, sub, sub), rows)]
+    return tuple(rows)
 
 
 def connect_markings(

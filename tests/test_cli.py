@@ -8,10 +8,14 @@ from delpezzo import (
     DomainError,
     __version__,
     enumerate_classes,
+    enumerate_roots,
     format_vector,
     make_marked_lattice,
+    positive_roots,
+    vectors_of_type,
 )
-from delpezzo.cli import _plain, _write, build_parser, run
+from delpezzo.cli import _fixed_texts, _plain, _write, build_parser, run
+from delpezzo.lattice import _texts_of_type
 
 from helpers import (
     INT_DIGIT_LIMIT,
@@ -96,6 +100,49 @@ def test_classes_off_adjunction_reports_the_library_error(capsys, norm, deg):
     code = run(["classes", "--r", "7", "--self-int", str(norm), "--degree", str(deg)])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_fixed_texts_match_a_fresh_walk_and_the_library(r):
+    M = make_marked_lattice(r)
+    for norm, deg in ((-2, 0), (-1, 1), (0, 2)):
+        texts = _fixed_texts(r, norm, deg)
+        assert isinstance(texts, tuple)
+        assert list(texts) == _texts_of_type(r, norm, deg)
+        assert list(texts) == [str(v) for v in vectors_of_type(M, norm, deg)]
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_roots_report_matches_the_library_roots(capsys, r):
+    M = make_marked_lattice(r)
+    report = run_json(capsys, "roots", "--r", str(r))
+    assert report["items"] == [str(root.vector) for root in enumerate_roots(M)]
+    report = run_json(capsys, "roots", "--r", str(r), "--positive")
+    assert report["items"] == [str(root.vector) for root in positive_roots(M)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--r", "7"),
+        ("roots", "--r", "7", "--positive"),
+        ("lines", "--r", "7"),
+        ("classes", "--r", "7", "--self-int", "-2", "--degree", "0"),
+        ("classes", "--r", "7", "--self-int", "-1", "--degree", "1"),
+        ("classes", "--r", "7", "--self-int", "0", "--degree", "2"),
+    ],
+)
+def test_a_reports_items_are_its_own(argv):
+    # a handler hands out a fresh list of the kept texts; changing it
+    # changes neither the table nor the next report
+    args = build_parser().parse_args(argv)
+    M = make_marked_lattice(7)
+    items = args.handler(args, M)[2]
+    expected = list(items)
+    items.append("x")
+    items[0] = "y"
+    items.sort()
+    assert args.handler(args, M)[2] == expected
 
 
 def test_triples(capsys, schema):

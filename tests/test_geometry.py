@@ -245,14 +245,15 @@ def test_import_and_lattices_build_no_table():
         "import delpezzo, delpezzo.cli\n"
         "from delpezzo.geometry import _class_table, _line_table\n"
         "for r in range(3, 9): delpezzo.make_marked_lattice(r)\n"
-        "print(_line_table.cache_info().currsize, _class_table.cache_info().currsize)"
+        "print(_line_table.cache_info().currsize, _class_table.cache_info().currsize,\n"
+        "      delpezzo.cli._fixed_texts.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 0\n"
+    assert done.stdout == "0 0 0\n"
 
 
 @pytest.mark.parametrize("r,weyl_order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])

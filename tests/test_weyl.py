@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -556,6 +557,19 @@ def test_word_matrix_and_connect_markings():
         mat = word_matrix(word, M)
         back = connect_markings(mat, M)
         assert word_matrix(back, M) == mat
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_word_matrix_matches_column_reflections(r):
+    """The row operations per letter give the matrix whose columns are the
+    unit vectors reflected letter by letter, on seeded words."""
+    M = make_marked_lattice(r)
+    n = r + 1
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rng = random.Random(700 + r)
+    for word in [(), (r,), (r, r)] + [random_word(rng, r, 40) for _ in range(50)]:
+        columns = [reduce(weyl._reflect, word, t) for t in units]
+        assert word_matrix(word, M) == tuple(zip(*columns))
 
 
 def test_connect_markings_rejects_bad_input():
